@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -309,6 +311,11 @@ func TestE14Flow(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick renders every experiment and pins the bytes to a
+// golden copy of `sossim -exp all -quick`. Regenerate, only for an
+// intentional change, with:
+//
+//	go run ./cmd/sossim -exp all -quick > testdata/experiments/quick.txt
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll covered by individual tests")
@@ -319,5 +326,31 @@ func TestRunAllQuick(t *testing.T) {
 	}
 	if len(rs) != len(IDs()) {
 		t.Fatalf("RunAll returned %d results", len(rs))
+	}
+	var b strings.Builder
+	for _, r := range rs {
+		b.WriteString(r.String())
+		b.WriteByte('\n')
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "experiments", "quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("quick experiment output diverged from the golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
 	}
 }
