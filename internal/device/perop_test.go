@@ -1,0 +1,167 @@
+package device
+
+import (
+	"bytes"
+	"testing"
+
+	"sos/internal/fault"
+	"sos/internal/flash"
+	"sos/internal/obs"
+	"sos/internal/storage"
+)
+
+// perOpDevice builds the SOS stream split (SYS on Reed-Solomon) over
+// the given backend, with the chip's per-plane page-buffer pools
+// pre-filled: programmed pages keep their buffers until erase, so an
+// empty pool would charge every net-new page's storage to the datapath
+// under measurement.
+func perOpDevice(t *testing.T, kind storage.Kind, plan *fault.Plan, rec *obs.Recorder) *Device {
+	t.Helper()
+	d, err := New(Config{
+		Geometry: DefaultGeometry(),
+		Tech:     flash.PLC,
+		Backend:  kind,
+		Streams:  SOSStreams(),
+		Seed:     42,
+		Fault:    plan,
+		Obs:      rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := d.Chip()
+	sizes := make([]int, 256)
+	for i := range sizes {
+		sizes[i] = chip.Geometry().RawPageBytes()
+	}
+	bufs := make([][]byte, len(sizes))
+	for p := 0; p < chip.Planes(); p++ {
+		chip.TakeProgramBufs(p, sizes, bufs)
+		chip.ReturnProgramBufs(p, bufs)
+	}
+	return d
+}
+
+// sysPage returns a distinct 3000-byte SYS payload for lba.
+func sysPage(lba int64) []byte {
+	return bytes.Repeat([]byte{byte(lba*7 + 1)}, 3000)
+}
+
+// TestPerOpZeroAlloc pins the per-op contract: Write and Read are
+// one-op batches through the same datapath as WriteBatch and ReadBatch,
+// so steady-state per-op SYS traffic — Reed-Solomon encode and decode
+// included — allocates nothing, on either backend, at the device and at
+// the backend's own Read.
+func TestPerOpZeroAlloc(t *testing.T) {
+	for _, kind := range storage.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			d := perOpDevice(t, kind, nil, nil)
+			payload := sysPage(9)
+			// Warm the one-op frames, batch scratch, read engines, and
+			// the L2P table for the LBAs under measurement.
+			for lba := int64(0); lba < 256; lba++ {
+				if _, err := d.Write(lba, payload, 0, ClassSys); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Read(lba); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Backend().Read(lba); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lba := int64(0)
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := d.Write(lba%128, payload, 0, ClassSys); err != nil {
+					t.Fatal(err)
+				}
+				lba++
+			}); allocs != 0 {
+				t.Errorf("Device.Write allocates %.1f times per op, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				res, err := d.Read(lba % 128)
+				if err != nil || res.Degraded {
+					t.Fatal(err, res.Degraded)
+				}
+				lba++
+			}); allocs != 0 {
+				t.Errorf("Device.Read allocates %.1f times per op, want 0", allocs)
+			}
+			be := d.Backend()
+			if allocs := testing.AllocsPerRun(100, func() {
+				res, err := be.Read(lba % 128)
+				if err != nil || res.Degraded {
+					t.Fatal(err, res.Degraded)
+				}
+				lba++
+			}); allocs != 0 {
+				t.Errorf("%s Read allocates %.1f times per op, want 0", be.Name(), allocs)
+			}
+		})
+	}
+}
+
+// TestPerOpWriteBytesObserved pins write-size telemetry: a per-op Write
+// is a one-op batch, so its payload lands in the write-size histogram
+// at its real length even when the caller passes dataLen 0 — exactly as
+// a WriteBatch op does.
+func TestPerOpWriteBytesObserved(t *testing.T) {
+	rec := obs.New(obs.Config{})
+	d := perOpDevice(t, storage.KindFTL, nil, rec)
+	if _, err := d.Write(1, sysPage(1), 0, ClassSys); err != nil {
+		t.Fatal(err)
+	}
+	_, fates, err := d.WriteBatch([]BatchWrite{{LBA: 2, Data: sysPage(2), Class: ClassSys}})
+	if err != nil || fates[0].Err != nil {
+		t.Fatal(err, fates[0].Err)
+	}
+	if got, sum := rec.WriteBytes.Count(), rec.WriteBytes.Sum(); got != 2 || sum != 6000 {
+		t.Fatalf("write-size histogram count %d sum %v, want 2 and 6000", got, sum)
+	}
+}
+
+// TestReadBatchLadderReread drives the device read ladder inside a
+// batch: a read-fault window covers the first read of one (or two)
+// slices of a 16-op ReadBatch, so those slices walk the ladder and
+// re-read through the backend's one-op Read while the batch's other
+// fates still alias the batch's buffers. Every slice must come back
+// with the bytes written to it.
+func TestReadBatchLadderReread(t *testing.T) {
+	for _, kind := range storage.Kinds() {
+		for _, faulted := range []int64{1, 2} {
+			name := kind.String() + "/one"
+			if faulted == 2 {
+				name = kind.String() + "/two"
+			}
+			t.Run(name, func(t *testing.T) {
+				d := perOpDevice(t, kind, &fault.Plan{}, nil)
+				const n = 16
+				rds := make([]BatchRead, n)
+				for i := range rds {
+					lba := int64(i)
+					if _, err := d.Write(lba, sysPage(lba), 0, ClassSys); err != nil {
+						t.Fatal(err)
+					}
+					rds[i] = BatchRead{LBA: lba}
+				}
+				// The batch reads its slices as one run in LBA order, so
+				// slice 4's read is op base+5.
+				base := d.Injector().Ops()
+				d.Injector().SetPlan(fault.Plan{ReadFaultWindow: fault.Window{From: base + 5, To: base + 5 + faulted}})
+				_, fates := d.ReadBatch(rds)
+				for i := range fates {
+					if fates[i].Err != nil {
+						t.Fatalf("slice %d: %v", i, fates[i].Err)
+					}
+					if !bytes.Equal(fates[i].Res.Data, sysPage(int64(i))) {
+						t.Fatalf("slice %d came back with the wrong bytes", i)
+					}
+				}
+				if got := d.Smart().ReadRetries; got != faulted {
+					t.Fatalf("ladder re-reads = %d, want %d", got, faulted)
+				}
+			})
+		}
+	}
+}

@@ -74,6 +74,17 @@ type IntoDecoder interface {
 	DecodeInPlace(stored []byte) (data []byte, corrected int, err error)
 }
 
+// StoredLen returns the stored (encoded) length of a dataLen-byte
+// payload under s, including the 8-byte alignment padding Hamming
+// encodes with. Buffer sizing for encode-into and read-into paths uses
+// it.
+func StoredLen(s Scheme, dataLen int) int {
+	if _, isHamming := s.(HammingScheme); isHamming {
+		dataLen = (dataLen + 7) &^ 7
+	}
+	return s.Overhead(dataLen)
+}
+
 // DecodeStored decodes a stored payload with s, using the scheme's
 // in-place decoder when it has one. For every scheme the stack
 // configures (None, DetectOnly, RS) the clean path allocates nothing;

@@ -72,12 +72,6 @@ type e19Vals struct {
 	identical  bool    // queues=4/workers=8 rerun matched queues=1/workers=1 exactly
 }
 
-// deadSkipper is the telemetry surface both backends expose.
-type deadSkipper interface {
-	HintedWrites() int64
-	DeadSkipStats() (defers, pages int64)
-}
-
 // e19Run executes one cell at one concurrency point.
 func e19Run(spec e19Spec, days, queues, workers int) (e19Vals, *core.RunReport, error) {
 	sys, err := sos.NewSystem(
@@ -107,10 +101,9 @@ func e19Run(spec e19Spec, days, queues, workers int) (e19Vals, *core.RunReport, 
 	if smart.MaxWearFrac > 0 {
 		v.enduranceX = 1 / smart.MaxWearFrac
 	}
-	if ds, ok := sys.Device.Backend().(deadSkipper); ok {
-		v.hinted = ds.HintedWrites()
-		v.defers, v.deadPages = ds.DeadSkipStats()
-	}
+	be := sys.Device.Backend()
+	v.hinted = be.HintedWrites()
+	v.defers, v.deadPages = be.DeadSkipStats()
 	return v, rep, nil
 }
 

@@ -1,9 +1,8 @@
 // Package fault provides a deterministic, seeded fault-injection
-// interposer for the flash stack. An Injector wraps any chip-shaped
-// medium (structurally identical to ftl.Flash, satisfied by
-// *flash.Chip) and presents the same interface, so the FTL, device
-// layer, and experiments run unmodified against real or fault-wrapped
-// media.
+// interposer for the flash stack. An Injector wraps any storage.Flash
+// (such as *flash.Chip) and presents the same interface, so the
+// backends, device layer, and experiments run unmodified against real
+// or fault-wrapped media.
 //
 // Faults are reproducible from a sim.RNG seed and come in four shapes:
 //
@@ -25,6 +24,20 @@
 // off. With a zero-value Plan the Injector is byte-transparent: it
 // delegates every call, draws nothing from any RNG, and perturbs no
 // downstream determinism.
+//
+// The injector also carries the plane-run surface of storage.Flash, so
+// backends take their batched read, write, and GC paths under fault
+// injection. Two properties keep fault accounting exact and
+// deterministic:
+//
+//   - every run op passes through the full fault schedule one page at a
+//     time, in run order, so op-indexed windows and the power-cut
+//     trigger land mid-run exactly as they would mid-loop (a torn cut
+//     still persists only the dying op);
+//   - the injector reports a single plane, which collapses every batched
+//     consumer's plane fan-out to one canonical-order run per phase —
+//     medium access stays on one goroutine at every worker count, so the
+//     global op counter (the cut-index space) is schedule-independent.
 package fault
 
 import (
@@ -33,6 +46,7 @@ import (
 
 	"sos/internal/flash"
 	"sos/internal/sim"
+	"sos/internal/storage"
 )
 
 // ErrPowerCut reports that the simulated medium lost power: the op (and
@@ -40,30 +54,8 @@ import (
 // injector, then rebuild the FTL over the surviving state.
 var ErrPowerCut = errors.New("fault: power lost")
 
-// Medium is the chip contract the injector wraps and re-exposes. It
-// mirrors ftl.Flash method-for-method (kept structurally identical so
-// *Injector satisfies ftl.Flash without this package importing ftl);
-// *flash.Chip satisfies it directly.
-type Medium interface {
-	Geometry() flash.Geometry
-	Tech() flash.Tech
-	Blocks() int
-	PagesIn(b int) (int, error)
-	Program(b, page int, data []byte, dataLen int) error
-	ProgramTagged(b, page int, data []byte, dataLen int, tag flash.PageTag) error
-	Tag(b, page int) (flash.PageTag, bool, error)
-	Read(b, page int) (flash.ReadResult, error)
-	MarkStale(b, page int) error
-	Erase(b int) error
-	SetMode(b int, m flash.Mode) error
-	Retire(b int) error
-	Info(b int) (flash.BlockInfo, error)
-	PageRBER(b, page int) (float64, error)
-	StateOf(b, page int) (flash.PageState, error)
-	Stats() flash.Stats
-}
-
-var _ Medium = (*flash.Chip)(nil)
+// The injector is drop-in flash for either backend.
+var _ storage.Flash = (*Injector)(nil)
 
 // Window is a half-open op-index interval [From, To) over the
 // injector's global op counter (1-based: the first read/program/erase
@@ -148,20 +140,21 @@ func (s Stats) Injected() int64 {
 	return s.InjectedReadFaults + s.InjectedProgramFails + s.InjectedEraseFails
 }
 
-// Injector wraps a Medium and injects faults per its Plan. It is not
-// safe for concurrent use (neither is the chip it wraps; the device
-// layer serializes access).
+// Injector wraps a storage.Flash and injects faults per its Plan. It is
+// not safe for concurrent use; its single-plane report is what keeps
+// batched consumers from ever calling it concurrently.
 type Injector struct {
-	inner Medium
+	inner storage.Flash
 	plan  Plan
 	rng   *sim.RNG // nil until a probabilistic rule needs it
 	ops   int64
 	down  bool
 	stats Stats
+	ret   [1][]byte // ProgramRunTagged's buffer-return scratch
 }
 
 // New wraps inner with a fault plan. A zero-value plan is transparent.
-func New(inner Medium, plan Plan) *Injector {
+func New(inner storage.Flash, plan Plan) *Injector {
 	i := &Injector{inner: inner}
 	i.install(plan)
 	return i
@@ -198,7 +191,7 @@ func (i *Injector) Down() bool { return i.down }
 func (i *Injector) Ops() int64 { return i.ops }
 
 // FaultStats returns the injector's own counters. (Stats, from the
-// Medium interface, forwards the wrapped chip's telemetry.)
+// storage.Flash interface, forwards the wrapped chip's telemetry.)
 func (i *Injector) FaultStats() Stats { return i.stats }
 
 // errDown is the failure every op sees while power is off.
@@ -239,7 +232,7 @@ func (i *Injector) draw(p float64) bool {
 	return i.rng.Bool(p)
 }
 
-// Read implements Medium.
+// Read implements storage.Flash.
 func (i *Injector) Read(b, page int) (flash.ReadResult, error) {
 	if i.down {
 		return flash.ReadResult{}, i.errDown()
@@ -284,17 +277,17 @@ func (i *Injector) program(b, page int, apply func() error) error {
 	return apply()
 }
 
-// Program implements Medium.
+// Program implements storage.Flash.
 func (i *Injector) Program(b, page int, data []byte, dataLen int) error {
 	return i.program(b, page, func() error { return i.inner.Program(b, page, data, dataLen) })
 }
 
-// ProgramTagged implements Medium.
+// ProgramTagged implements storage.Flash.
 func (i *Injector) ProgramTagged(b, page int, data []byte, dataLen int, tag flash.PageTag) error {
 	return i.program(b, page, func() error { return i.inner.ProgramTagged(b, page, data, dataLen, tag) })
 }
 
-// Erase implements Medium.
+// Erase implements storage.Flash.
 func (i *Injector) Erase(b int) error {
 	if i.down {
 		return i.errDown()
@@ -317,7 +310,7 @@ func (i *Injector) Erase(b int) error {
 	return i.inner.Erase(b)
 }
 
-// MarkStale implements Medium. Stale-marking is controller metadata; it
+// MarkStale implements storage.Flash. Stale-marking is controller metadata; it
 // is not op-indexed, but a dead medium refuses it like everything else.
 func (i *Injector) MarkStale(b, page int) error {
 	if i.down {
@@ -326,7 +319,7 @@ func (i *Injector) MarkStale(b, page int) error {
 	return i.inner.MarkStale(b, page)
 }
 
-// SetMode implements Medium.
+// SetMode implements storage.Flash.
 func (i *Injector) SetMode(b int, m flash.Mode) error {
 	if i.down {
 		return i.errDown()
@@ -334,7 +327,7 @@ func (i *Injector) SetMode(b int, m flash.Mode) error {
 	return i.inner.SetMode(b, m)
 }
 
-// Retire implements Medium.
+// Retire implements storage.Flash.
 func (i *Injector) Retire(b int) error {
 	if i.down {
 		return i.errDown()
@@ -342,7 +335,7 @@ func (i *Injector) Retire(b int) error {
 	return i.inner.Retire(b)
 }
 
-// Tag implements Medium.
+// Tag implements storage.Flash.
 func (i *Injector) Tag(b, page int) (flash.PageTag, bool, error) {
 	if i.down {
 		return flash.PageTag{}, false, i.errDown()
@@ -350,7 +343,7 @@ func (i *Injector) Tag(b, page int) (flash.PageTag, bool, error) {
 	return i.inner.Tag(b, page)
 }
 
-// Info implements Medium.
+// Info implements storage.Flash.
 func (i *Injector) Info(b int) (flash.BlockInfo, error) {
 	if i.down {
 		return flash.BlockInfo{}, i.errDown()
@@ -358,7 +351,7 @@ func (i *Injector) Info(b int) (flash.BlockInfo, error) {
 	return i.inner.Info(b)
 }
 
-// PageRBER implements Medium.
+// PageRBER implements storage.Flash.
 func (i *Injector) PageRBER(b, page int) (float64, error) {
 	if i.down {
 		return 0, i.errDown()
@@ -366,7 +359,7 @@ func (i *Injector) PageRBER(b, page int) (float64, error) {
 	return i.inner.PageRBER(b, page)
 }
 
-// StateOf implements Medium.
+// StateOf implements storage.Flash.
 func (i *Injector) StateOf(b, page int) (flash.PageState, error) {
 	if i.down {
 		return 0, i.errDown()
@@ -374,7 +367,7 @@ func (i *Injector) StateOf(b, page int) (flash.PageState, error) {
 	return i.inner.StateOf(b, page)
 }
 
-// PagesIn implements Medium.
+// PagesIn implements storage.Flash.
 func (i *Injector) PagesIn(b int) (int, error) {
 	if i.down {
 		return 0, i.errDown()
@@ -382,17 +375,66 @@ func (i *Injector) PagesIn(b int) (int, error) {
 	return i.inner.PagesIn(b)
 }
 
-// Geometry implements Medium (host-side knowledge; power-independent).
+// Geometry implements storage.Flash (host-side knowledge; power-independent).
 func (i *Injector) Geometry() flash.Geometry { return i.inner.Geometry() }
 
-// Tech implements Medium (host-side knowledge; power-independent).
+// Tech implements storage.Flash (host-side knowledge; power-independent).
 func (i *Injector) Tech() flash.Tech { return i.inner.Tech() }
 
-// Blocks implements Medium (host-side knowledge; power-independent).
+// Blocks implements storage.Flash (host-side knowledge; power-independent).
 func (i *Injector) Blocks() int { return i.inner.Blocks() }
 
-// Stats implements Medium, forwarding the wrapped chip's telemetry.
+// Stats implements storage.Flash, forwarding the wrapped chip's telemetry.
 func (i *Injector) Stats() flash.Stats { return i.inner.Stats() }
 
-// Inner returns the wrapped medium (the surviving silicon after a cut).
-func (i *Injector) Inner() Medium { return i.inner }
+// Planes reports a single plane: batched consumers then put every block
+// in one run, preserving the canonical op order (see the package doc).
+func (i *Injector) Planes() int { return 1 }
+
+// PlaneOf places every block on the single reported plane.
+func (i *Injector) PlaneOf(b int) int { return 0 }
+
+// ReadRunInto executes a run of reads one fault-checked page op at a
+// time, in run order. Payloads land in each op's Dst, mirroring the
+// chip's contract; per-op errors (injected faults, the power cut) land
+// in op.Err exactly as Read would report them.
+func (i *Injector) ReadRunInto(ops []flash.ReadOp) {
+	for k := range ops {
+		op := &ops[k]
+		op.Res, op.Err = i.Read(op.Block, op.Page)
+		if op.Err == nil && op.Dst != nil && op.Res.Data != nil {
+			n := copy(op.Dst, op.Res.Data)
+			op.Res.Data = op.Dst[:n]
+		}
+	}
+}
+
+// ProgramRunTagged executes a run of tagged programs one fault-checked
+// page op at a time, in run order. Owned buffers are always returned to
+// the pool afterwards: ProgramTagged copies payloads into the chip, so
+// ownership ends here whether the op succeeded, drew an injected
+// failure, or died at the power cut.
+func (i *Injector) ProgramRunTagged(ops []flash.ProgramOp) {
+	for k := range ops {
+		op := &ops[k]
+		op.Err = i.ProgramTagged(op.Block, op.Page, op.Data, op.DataLen, op.Tag)
+		if op.Own && op.Data != nil {
+			i.ret[0] = op.Data
+			i.inner.ReturnProgramBufs(0, i.ret[:])
+			i.ret[0] = nil
+			op.Data = nil
+		}
+	}
+}
+
+// TakeProgramBufs forwards to the wrapped medium's plane-0 pool (the
+// consumer's plane index is always 0, the single reported plane);
+// pooled buffers are plain host memory, usable for any block.
+func (i *Injector) TakeProgramBufs(plane int, sizes []int, bufs [][]byte) {
+	i.inner.TakeProgramBufs(0, sizes, bufs)
+}
+
+// ReturnProgramBufs forwards to the wrapped medium's plane-0 pool.
+func (i *Injector) ReturnProgramBufs(plane int, bufs [][]byte) {
+	i.inner.ReturnProgramBufs(0, bufs)
+}

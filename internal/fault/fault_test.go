@@ -7,6 +7,7 @@ import (
 
 	"sos/internal/flash"
 	"sos/internal/sim"
+	"sos/internal/storage"
 )
 
 func newChip(t *testing.T, seed uint64) *flash.Chip {
@@ -38,7 +39,7 @@ func TestTransparentPlan(t *testing.T) {
 	wrapped := newChip(t, 7)
 	inj := New(wrapped, Plan{})
 
-	run := func(m Medium) {
+	run := func(m storage.Flash) {
 		for b := 0; b < 4; b++ {
 			for p := 0; p < 8; p++ {
 				if err := m.Program(b, p, pagePayload(b, p), 64); err != nil {

@@ -8,12 +8,6 @@ import (
 // placement interface compiles down to.
 var _ storage.Backend = (*FTL)(nil)
 
-// The FTL records host digests in OOB tags and mappings.
-var _ storage.DigestStore = (*FTL)(nil)
-
-// The FTL routes hinted writes to per-(stream, bin) active blocks.
-var _ storage.HintedStore = (*FTL)(nil)
-
 // Name identifies the backend kind for telemetry and the -backend flag.
 func (f *FTL) Name() string { return "ftl" }
 

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"sos/internal/ecc"
+	"sos/internal/fault"
 	"sos/internal/flash"
 	"sos/internal/sim"
+	"sos/internal/storage"
 )
 
 // tortureFTL builds a tiny single-stream PLC FTL for wear-out testing.
@@ -176,4 +178,50 @@ func TestProgramFailurePreservesOldData(t *testing.T) {
 	if res.DataLen != len(want) {
 		t.Fatalf("mapping lost: len %d", res.DataLen)
 	}
+}
+
+// TestProgramRetryBudget pins the write retry budget: an op whose
+// programs keep failing gets exactly maxProgramAttempts programs in
+// total — its batched program plus slow-path retries — before
+// ErrProgramFail reaches the host, whether it is a per-op Write, a
+// one-op batch, or one op of many in a batch.
+func TestProgramRetryBudget(t *testing.T) {
+	payload := make([]byte, 120)
+	check := func(t *testing.T, inj *fault.Injector, f *FTL, errs []error) {
+		t.Helper()
+		for i, err := range errs {
+			if !errors.Is(err, flash.ErrProgramFail) {
+				t.Errorf("op %d: err = %v, want ErrProgramFail", i, err)
+			}
+		}
+		if got, want := inj.Ops(), int64(maxProgramAttempts*len(errs)); got != want {
+			t.Errorf("%d program ops for %d failing writes, want %d", got, len(errs), want)
+		}
+		if f.Contains(1) {
+			t.Error("failed write left a mapping behind")
+		}
+		if err := checkInvariants(f); err != nil {
+			t.Error(err)
+		}
+	}
+	window := func(n int) fault.Plan {
+		return fault.Plan{ProgramFailWindow: fault.Window{From: 1, To: int64(1 + maxProgramAttempts*n)}}
+	}
+	t.Run("per-op", func(t *testing.T) {
+		_, inj, _, f := crashStack(t, window(1))
+		check(t, inj, f, []error{f.Write(1, payload, 0, 0)})
+	})
+	t.Run("one-op-batch", func(t *testing.T) {
+		_, inj, _, f := crashStack(t, window(1))
+		fates := make([]storage.BatchFate, 1)
+		f.WriteBatch([]storage.BatchOp{{LPA: 1, Data: payload}}, fates, 1, 1)
+		check(t, inj, f, []error{fates[0].Err})
+	})
+	t.Run("multi-op-batch", func(t *testing.T) {
+		_, inj, _, f := crashStack(t, window(3))
+		ops := []storage.BatchOp{{LPA: 1, Data: payload}, {LPA: 2, Data: payload}, {LPA: 3, DataLen: 64}}
+		fates := make([]storage.BatchFate, len(ops))
+		f.WriteBatch(ops, fates, 2, 1)
+		check(t, inj, f, []error{fates[0].Err, fates[1].Err, fates[2].Err})
+	})
 }

@@ -87,12 +87,12 @@ type mapping struct {
 	// relocation (accounting-only pages; payload pages carry corruption
 	// in the bytes themselves).
 	baseFlips int
-	// digest mirrors the page's OOB tag digest (storage.DigestStore) so
+	// digest mirrors the page's OOB tag digest (storage.Backend.Digest) so
 	// verification and relocation read it without a chip op. Relocation
 	// copies it verbatim: it always hashes the original host payload.
 	digest    uint64
 	hasDigest bool
-	// hint mirrors the page's OOB lifetime bin (storage.HintedStore) so
+	// hint mirrors the page's OOB lifetime bin (storage.Backend.Hint) so
 	// dead-data-aware GC scans it without a chip op. Relocation carries
 	// it verbatim: relocated data keeps its predicted deathtime.
 	hint storage.LifetimeHint
@@ -136,9 +136,15 @@ type FTL struct {
 	// reused across WriteBatch calls so steady-state batches allocate
 	// nothing.
 	bs batchScratch
-	// rs is the batched-read scratch, likewise reused across ReadBatch
-	// calls (see readbatch.go).
-	rs readScratch
+	// rs runs ReadBatch; r1 runs Read, one op wide, so a per-op read
+	// never recycles the buffers an outstanding batch's payloads alias
+	// (see storage.ReadEngine).
+	rs, r1 storage.ReadEngine
+	// One-op scratch for Write and Read: per-op calls are batches of one.
+	w1op   [1]storage.BatchOp
+	w1fate [1]storage.BatchFate
+	r1op   [1]storage.BatchReadOp
+	r1fate [1]storage.BatchReadFate
 	// gcr is the batched GC victim-read scratch (see gc.go).
 	gcr gcReadScratch
 
@@ -487,34 +493,21 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 }
 
 // Write stores data (length <= LogicalPageSize) at lpa under the given
-// stream. A nil data with dataLen > 0 performs an accounting-only write
-// (no payload stored; error counts still modelled).
+// stream: a one-op WriteBatch. A nil data with dataLen > 0 performs an
+// accounting-only write (no payload stored; error counts still
+// modelled).
 func (f *FTL) Write(lpa int64, data []byte, dataLen int, id StreamID) error {
+	// The result is read before the deferred capacity callback runs, so
+	// a callback that writes again cannot overwrite it.
 	defer f.flushCapacity()
-	_, _, err := f.writeOne(lpa, data, dataLen, id, 0, false, storage.HintNone)
-	return err
-}
-
-// WriteDigested is Write plus a host-computed payload digest recorded
-// in the page's OOB tag and mapping (storage.DigestStore).
-func (f *FTL) WriteDigested(lpa int64, data []byte, dataLen int, id StreamID, digest uint64) error {
-	defer f.flushCapacity()
-	_, _, err := f.writeOne(lpa, data, dataLen, id, digest, true, storage.HintNone)
-	return err
-}
-
-// WriteHinted is WriteDigested plus a predicted-lifetime bin recorded in
-// the page's OOB tag and mapping, routing the page to the stream's
-// per-bin active block (storage.HintedStore). hasDigest false
-// degenerates to an unhinted-digest Write.
-func (f *FTL) WriteHinted(lpa int64, data []byte, dataLen int, id StreamID, digest uint64, hasDigest bool, hint storage.LifetimeHint) error {
-	defer f.flushCapacity()
-	_, _, err := f.writeOne(lpa, data, dataLen, id, digest, hasDigest, hint)
-	return err
+	f.w1op[0] = storage.BatchOp{LPA: lpa, Data: data, DataLen: dataLen, Stream: id}
+	f.writeBatch(f.w1op[:], f.w1fate[:], 1, 1)
+	f.w1op[0] = storage.BatchOp{}
+	return f.w1fate[0].Err
 }
 
 // Hint returns the recorded lifetime bin for a mapped lpa
-// (storage.HintedStore).
+// (storage.Backend).
 func (f *FTL) Hint(lpa int64) (storage.LifetimeHint, bool) {
 	m, ok := f.lookup(lpa)
 	if !ok {
@@ -524,7 +517,7 @@ func (f *FTL) Hint(lpa int64) (storage.LifetimeHint, bool) {
 }
 
 // Digest returns the recorded payload digest for a mapped lpa
-// (storage.DigestStore).
+// (storage.Backend).
 func (f *FTL) Digest(lpa int64) (uint64, bool) {
 	m, ok := f.lookup(lpa)
 	if !ok || !m.hasDigest {
@@ -533,59 +526,58 @@ func (f *FTL) Digest(lpa int64) (uint64, bool) {
 	return m.digest, true
 }
 
-// writeOne is the full serial write path — validation, encode, program
-// (GC, allocation, and static wear leveling all permitted), mapping
-// update — returning where the page landed. Write wraps it; the batched
-// path falls back to it for ops its placement fast path cannot take.
-func (f *FTL) writeOne(lpa int64, data []byte, dataLen int, id StreamID, digest uint64, hasDigest bool, hint storage.LifetimeHint) (int, int, error) {
-	pol, err := f.policy(id)
-	if err != nil {
-		return -1, -1, err
-	}
-	if lpa < 0 {
-		return -1, -1, ErrBadLPA
-	}
-	if data != nil {
-		dataLen = len(data)
-	}
-	if dataLen <= 0 || dataLen > f.logicalSz {
-		return -1, -1, ErrPayloadSize
+// maxProgramAttempts is how many programs one write may attempt, in
+// total across its batched program and slow-path retries, before its
+// program-status failures reach the host.
+const maxProgramAttempts = 4
+
+// writeOne is WriteBatch's slow path for a validated op — encode,
+// program (GC, allocation, and static wear leveling all permitted),
+// mapping update — returning where the page landed. attempts is the
+// op's remaining program budget.
+func (f *FTL) writeOne(op *storage.BatchOp, attempts int) (int, int, error) {
+	pol := &f.streams[op.Stream]
+	dataLen := op.DataLen
+	if op.Data != nil {
+		dataLen = len(op.Data)
 	}
 	var stored []byte
 	storedLen := pol.Scheme.Overhead(dataLen)
-	if data != nil {
-		stored, err = encodeFor(pol.Scheme, data)
+	if op.Data != nil {
+		var err error
+		stored, err = encodeFor(pol.Scheme, op.Data)
 		if err != nil {
 			return -1, -1, err
 		}
 		storedLen = len(stored)
 	}
 
-	b, page, err := f.programToStream(id, lpa, dataLen, stored, storedLen, digest, hasDigest, hint)
+	b, page, err := f.programToStream(op, dataLen, stored, storedLen, attempts)
 	if err != nil {
 		return -1, -1, err
 	}
 	f.hostWrites++
-	if hint != storage.HintNone {
+	if op.Hint != storage.HintNone {
 		f.hintedWrites++
 	}
 
 	// Supersede the old location.
-	if old, ok := f.lookup(lpa); ok {
+	if old, ok := f.lookup(op.LPA); ok {
 		f.invalidate(old.ppa)
 	}
-	f.setMapping(lpa, mapping{ppa: PPA{Block: b, Page: page}, stream: id, dataLen: dataLen, digest: digest, hasDigest: hasDigest, hint: hint})
+	f.setMapping(op.LPA, mapping{ppa: PPA{Block: b, Page: page}, stream: op.Stream, dataLen: dataLen, digest: op.Digest, hasDigest: op.HasDigest, hint: op.Hint})
 	return b, page, nil
 }
 
 // programToStream programs one page into the stream's active block,
 // absorbing program-status failures: a failed block is sealed (no
 // further programs), flagged for priority draining and retirement, and
-// the write retries on a fresh block. The page carries an OOB tag so a
-// remount can rebuild the mapping tables.
-func (f *FTL) programToStream(id StreamID, lpa int64, dataLen int, stored []byte, storedLen int, digest uint64, hasDigest bool, hint storage.LifetimeHint) (blk, page int, err error) {
-	const maxAttempts = 4
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+// the write retries on a fresh block, up to attempts programs in all.
+// The page carries an OOB tag so a remount can rebuild the mapping
+// tables.
+func (f *FTL) programToStream(op *storage.BatchOp, dataLen int, stored []byte, storedLen, attempts int) (blk, page int, err error) {
+	id, hint := op.Stream, op.Hint
+	for attempt := 0; attempt < attempts; attempt++ {
 		b, err := f.writableActive(id, hint)
 		if err != nil {
 			return -1, -1, err
@@ -596,14 +588,14 @@ func (f *FTL) programToStream(id StreamID, lpa int64, dataLen int, stored []byte
 		// this very LPA carry a newer serial than the write being acked —
 		// and win the rebuild election after a crash (silent loss).
 		f.writeSerial++
-		tag := flash.PageTag{LPA: lpa, Stream: uint8(id), DataLen: int32(dataLen), Serial: f.writeSerial, Digest: digest, HasDigest: hasDigest, Hint: uint8(hint)}
+		tag := flash.PageTag{LPA: op.LPA, Stream: uint8(id), DataLen: int32(dataLen), Serial: f.writeSerial, Digest: op.Digest, HasDigest: op.HasDigest, Hint: uint8(hint)}
 		page := f.blocks[b].fullPages
 		perr := f.chip.ProgramTagged(b, page, stored, storedLen, tag)
 		if perr == nil {
 			f.blocks[b].fullPages++
 			f.blocks[b].valid++
 			f.flashPrograms++
-			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: lpa, Block: b, Page: page, Stream: int(id), Aux: int64(dataLen)})
+			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: op.LPA, Block: b, Page: page, Stream: int(id), Aux: int64(dataLen)})
 			return b, page, nil
 		}
 		if !errors.Is(perr, flash.ErrProgramFail) {
@@ -611,7 +603,7 @@ func (f *FTL) programToStream(id StreamID, lpa int64, dataLen int, stored []byte
 		}
 		f.sealFailedBlock(b)
 	}
-	return -1, -1, fmt.Errorf("ftl: %d consecutive program failures: %w", maxAttempts, flash.ErrProgramFail)
+	return -1, -1, fmt.Errorf("ftl: %d consecutive program failures: %w", maxProgramAttempts, flash.ErrProgramFail)
 }
 
 // sealBlock marks a block as taking no further programs: GC drains it
@@ -655,39 +647,43 @@ func (f *FTL) invalidate(ppa PPA) {
 	f.p2l[f.pidx(ppa)] = -1
 }
 
-// Read fetches lpa, decoding through the stream's ECC scheme.
+// ReadBatch implements storage.Backend: the FTL resolves every op
+// against its L2P table in canonical order and the shared read engine
+// runs the read, decode, and settle phases. fates[i] records the
+// outcome of ops[i]; results are identical for every (queues, workers)
+// pair.
+func (f *FTL) ReadBatch(ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
+	f.readBatch(&f.rs, ops, fates, queues, workers)
+}
+
+// Read fetches lpa, decoding through the stream's ECC scheme: a one-op
+// batch on the FTL's one-op engine. The payload stays valid until the
+// next Read.
 func (f *FTL) Read(lpa int64) (ReadResult, error) {
-	m, ok := f.lookup(lpa)
-	if !ok {
-		return ReadResult{}, ErrUnknownLPA
+	f.r1op[0] = storage.BatchReadOp{LPA: lpa}
+	f.readBatch(&f.r1, f.r1op[:], f.r1fate[:], 1, 1)
+	return f.r1fate[0].Res, f.r1fate[0].Err
+}
+
+// readBatch is the resolve pass: unmapped LPAs get their final fate
+// here; mapped ops go to the engine with everything later phases need,
+// so no phase touches the L2P table concurrently.
+func (f *FTL) readBatch(e *storage.ReadEngine, ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
+	if len(ops) == 0 {
+		return
 	}
-	pol := &f.streams[m.stream]
-	raw, err := f.chip.Read(m.ppa.Block, m.ppa.Page)
-	if err != nil {
-		return ReadResult{}, fmt.Errorf("ftl: read %v: %w", m.ppa, err)
-	}
-	f.obs.Record(obs.Event{Kind: obs.EvRead, LBA: lpa, Block: m.ppa.Block, Page: m.ppa.Page, Stream: int(m.stream), Aux: int64(m.dataLen)})
-	res := ReadResult{DataLen: m.dataLen, RawFlips: m.baseFlips + raw.FlippedTotal, Stream: m.stream}
-	if raw.Data == nil {
-		// Accounting-only: estimate decodability from the flip count,
-		// including corruption crystallized across relocations.
-		res.Degraded = !pol.Scheme.EstimateDecode(m.baseFlips+raw.FlippedTotal, m.dataLen)
-		if res.Degraded {
-			f.degradedReads++
+	e.Begin(f.chip, len(ops))
+	for i := range ops {
+		fates[i] = storage.BatchReadFate{Block: -1, Page: -1}
+		m, ok := f.lookup(ops[i].LPA)
+		if !ok {
+			fates[i].Err = ErrUnknownLPA
+			continue
 		}
-		return res, nil
+		fates[i].Block, fates[i].Page = m.ppa.Block, m.ppa.Page
+		e.Add(i, ops[i].LPA, m.ppa, m.stream, f.streams[m.stream].Scheme, m.dataLen, m.baseFlips)
 	}
-	data, corrected, derr := pol.Scheme.Decode(raw.Data)
-	if len(data) > m.dataLen {
-		data = data[:m.dataLen] // strip alignment padding
-	}
-	res.Data = data
-	res.Corrected = corrected
-	if derr != nil {
-		res.Degraded = true
-		f.degradedReads++
-	}
-	return res, nil
+	f.degradedReads += e.Run(ops, fates, queues, workers, "ftl", f.obs)
 }
 
 // Trim drops the mapping for lpa (host discard / file delete).

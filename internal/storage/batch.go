@@ -1,14 +1,13 @@
 package storage
 
-import "sos/internal/flash"
-
-// Batched submission: the multi-queue write path. The device layer
-// collects a burst of logical writes, deals them across submission
-// queues, and hands the whole batch to the backend in one call. The
-// backend parallelizes what is safe to parallelize (per-queue ECC
-// encode, per-plane programs) and keeps everything order-sensitive
+// Batched submission: the shape of every logical write and read. The
+// device layer collects a burst of logical ops, deals them across
+// submission queues, and hands the whole batch to the backend in one
+// call. The backend parallelizes what is safe to parallelize (per-queue
+// ECC, per-plane media runs) and keeps everything order-sensitive
 // (placement, mapping updates, telemetry) in one canonical pass, so a
-// batch produces byte-identical state at every worker count.
+// batch produces byte-identical state at every worker count. A per-op
+// call is a batch of one.
 
 // BatchOp is one logical write inside a batch. Seq is the op's global
 // submission sequence number and Queue its submission queue; both are
@@ -22,13 +21,14 @@ type BatchOp struct {
 	Seq     uint64
 	Queue   int
 	// Digest/HasDigest carry the host-computed payload digest into the
-	// page's OOB tag (see DigestStore). Zero-valued when the writer
+	// page's OOB tag (see Backend.Digest). Zero-valued when the writer
 	// tracks no digests.
 	Digest    uint64
 	HasDigest bool
 	// Hint is the predicted-lifetime bin routing this op to its
-	// per-(stream, bin) active block or zone (see HintedStore). The zero
-	// value HintNone reproduces unhinted placement exactly.
+	// per-(stream, bin) active block or zone and persisted in its OOB
+	// tag (see Backend.Hint). The zero value HintNone reproduces
+	// unhinted placement exactly.
 	Hint LifetimeHint
 }
 
@@ -38,31 +38,6 @@ type BatchFate struct {
 	Err   error
 	Block int
 	Page  int
-}
-
-// BatchWriter is the optional Backend extension for batched
-// multi-queue submission. WriteBatch stores every op (semantically
-// equivalent to calling Write op-by-op in Seq order) and records each
-// op's fate in fates[i] for ops[i]. queues is the number of submission
-// queues the ops were dealt across; workers bounds the goroutines used
-// for the parallel phases (<=1 runs everything on the caller's
-// goroutine). Neither may change the resulting state — only wall-clock
-// time.
-type BatchWriter interface {
-	WriteBatch(ops []BatchOp, fates []BatchFate, queues, workers int)
-}
-
-// PlanedFlash is the optional Flash extension exposing plane-level
-// parallelism. *flash.Chip implements it; interposers that serialize
-// the medium (the fault injector's op-indexed plans, for one) simply
-// don't, which downgrades batched writers to their serial path — the
-// safe default for any wrapper that didn't opt in.
-type PlanedFlash interface {
-	Flash
-	// Planes returns the number of independently lockable planes.
-	Planes() int
-	// PlaneOf returns the plane that owns block b.
-	PlaneOf(b int) int
 }
 
 // BatchReadOp is one logical read inside a batch. Seq/Queue are
@@ -75,58 +50,12 @@ type BatchReadOp struct {
 }
 
 // BatchReadFate is the per-op outcome of a read batch, in submission
-// order. Res/Err are exactly what the backend's per-op Read would have
-// returned for the same LPA at the same point in the op sequence.
-// Block/Page report the physical page the read resolved to (-1 when the
-// LPA was unmapped), so the device layer can lane the completion onto
-// the owning plane's virtual-time timeline.
+// order. Block/Page report the physical page the read resolved to (-1
+// when the LPA was unmapped), so the device layer can lane the
+// completion onto the owning plane's virtual-time timeline.
 type BatchReadFate struct {
 	Res   ReadResult
 	Err   error
 	Block int
 	Page  int
-}
-
-// BatchReader is the optional Backend extension for batched multi-queue
-// reads: the read-side mirror of BatchWriter. ReadBatch resolves,
-// reads, and decodes every op (semantically equivalent to calling Read
-// op-by-op in Seq order) and records each op's fate in fates[i] for
-// ops[i]. queues is the number of submission queues the ops were dealt
-// across; workers bounds the goroutines used for the parallel phases
-// (<=1 runs everything on the caller's goroutine). Neither may change
-// the resulting state — mappings, telemetry, and the plane RNG streams
-// land exactly where serial reads would leave them.
-//
-// Returned payloads alias chip-owned buffers that remain valid until
-// the backend's next batched or per-op read; callers that retain them
-// longer must copy.
-type BatchReader interface {
-	ReadBatch(ops []BatchReadOp, fates []BatchReadFate, queues, workers int)
-}
-
-// RunReader is the optional PlanedFlash extension for executing a whole
-// run of same-plane reads under one plane-lock acquisition.
-// *flash.Chip implements it; batched readers that find it (alongside
-// RunProgrammer's buffer pool) issue one call per plane per run,
-// reading payloads straight into caller-provided buffers. Per-op
-// results, error injection, and the plane RNG stream are identical to
-// issuing the same reads through Read one by one in the same per-plane
-// order.
-type RunReader interface {
-	ReadRunInto(ops []flash.ReadOp)
-}
-
-// RunProgrammer is the optional PlanedFlash extension for executing a
-// whole run of same-plane programs under one plane-lock acquisition.
-// *flash.Chip implements it; batched writers that find it use one call
-// per plane per run instead of one lock round-trip per page, and encode
-// payloads straight into chip-owned buffers (TakeProgramBufs + Own) so
-// each byte is written to the medium exactly once, with no program-time
-// copy. Results — per-op errors, page state, and the plane RNG stream —
-// are identical to issuing the same ops through ProgramTagged one by
-// one.
-type RunProgrammer interface {
-	ProgramRunTagged(ops []flash.ProgramOp)
-	TakeProgramBufs(plane int, sizes []int, bufs [][]byte)
-	ReturnProgramBufs(plane int, bufs [][]byte)
 }

@@ -51,26 +51,6 @@ func (h LifetimeHint) String() string {
 	}
 }
 
-// HintedStore is the optional Backend extension for lifetime-hinted
-// writes. WriteHinted behaves exactly like WriteDigested (hasDigest
-// false degenerates to Write) but additionally records the lifetime bin
-// in the page's OOB tag, so placement survives power loss through the
-// same rebuild path as the mapping itself, and routes the page to the
-// allocator's per-(stream, bin) active block or zone.
-//
-// The contract that keeps crash rebuild exact under dead-data-aware GC:
-// the hint is persisted in OOB at program time and carried verbatim
-// through relocation, so any GC decision derived from hints (victim
-// deferral, bin-aware relocation targets) is a pure function of
-// OOB-persisted state — a rebuilt backend sees the same hints and
-// reaches the same decisions.
-type HintedStore interface {
-	WriteHinted(lpa int64, data []byte, dataLen int, id StreamID, digest uint64, hasDigest bool, hint LifetimeHint) error
-	// Hint returns the recorded lifetime bin for a mapped lpa (false
-	// when unmapped).
-	Hint(lpa int64) (LifetimeHint, bool)
-}
-
 // Placement names a host placement policy: how (and whether) the engine
 // derives lifetime hints for new writes.
 type Placement int

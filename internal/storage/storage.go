@@ -43,7 +43,9 @@ var (
 //
 // The method set is exactly the slice of *flash.Chip a translation
 // layer needs: physical page ops, block lifecycle, OOB tags for
-// rebuilds, and telemetry.
+// rebuilds, telemetry, and the plane-run surface every batched path
+// drives. A medium that cannot run planes concurrently (the fault
+// injector) reports one plane and executes runs page by page.
 type Flash interface {
 	// Geometry returns the chip geometry.
 	Geometry() flash.Geometry
@@ -77,6 +79,27 @@ type Flash interface {
 	StateOf(b, page int) (flash.PageState, error)
 	// Stats returns cumulative operation counts.
 	Stats() flash.Stats
+
+	// Planes returns the number of independently lockable planes.
+	Planes() int
+	// PlaneOf returns the plane that owns block b.
+	PlaneOf(b int) int
+	// ReadRunInto executes a run of same-plane reads under one
+	// plane-lock acquisition, reading payloads into each op's Dst.
+	// Per-op results, error injection, and the plane RNG stream are
+	// identical to issuing the same reads through Read in run order.
+	ReadRunInto(ops []flash.ReadOp)
+	// ProgramRunTagged executes a run of same-plane tagged programs
+	// under one plane-lock acquisition; results and the plane RNG
+	// stream are identical to per-op ProgramTagged calls in run order.
+	ProgramRunTagged(ops []flash.ProgramOp)
+	// TakeProgramBufs hands out pooled page buffers of plane p, so
+	// payloads can be encoded in place and handed to the chip with
+	// ProgramOp.Own (each byte written to the medium exactly once).
+	TakeProgramBufs(plane int, sizes []int, bufs [][]byte)
+	// ReturnProgramBufs gives taken-but-unused buffers back to plane
+	// p's pool.
+	ReturnProgramBufs(plane int, bufs [][]byte)
 }
 
 // The real chip must always satisfy the backend contract.
@@ -230,6 +253,9 @@ type Stats struct {
 // degradation monitor, capacity variance, fault escalation, and crash
 // recovery. *ftl.FTL (device-side multi-stream FTL) and *zns.Backend
 // (host-side FTL over zones) both implement it.
+//
+// Logical I/O has one shape: WriteBatch and ReadBatch. Write and Read
+// are batches of one through the same entry points.
 type Backend interface {
 	// Name identifies the backend kind ("ftl", "zns") for telemetry.
 	Name() string
@@ -242,13 +268,56 @@ type Backend interface {
 	UsablePages() int
 	// MappedPages returns the number of live logical pages.
 	MappedPages() int
+	// WriteBatch stores every op (semantically equivalent to writing
+	// them one by one in Seq order) and records each op's fate in
+	// fates[i] for ops[i]. queues is the number of submission queues
+	// the ops were dealt across; workers bounds the goroutines used for
+	// the parallel phases (<=1 runs everything on the caller's
+	// goroutine). Neither may change the resulting state — only
+	// wall-clock time.
+	WriteBatch(ops []BatchOp, fates []BatchFate, queues, workers int)
+	// ReadBatch resolves, reads, and decodes every op (semantically
+	// equivalent to reading them one by one in Seq order) and records
+	// each op's fate in fates[i] for ops[i]; queues and workers as for
+	// WriteBatch. Mappings, telemetry, and the plane RNG streams land
+	// exactly where one-by-one reads would leave them. Returned
+	// payloads alias chip-owned buffers that stay valid until the next
+	// ReadBatch call; callers that retain them longer must copy.
+	ReadBatch(ops []BatchReadOp, fates []BatchReadFate, queues, workers int)
 	// Write stores data (length <= LogicalPageSize) at lpa under the
-	// given stream. A nil data with dataLen > 0 performs an
-	// accounting-only write (no payload stored; error counts still
-	// modelled).
+	// given stream: a one-op WriteBatch. A nil data with dataLen > 0
+	// performs an accounting-only write (no payload stored; error
+	// counts still modelled).
 	Write(lpa int64, data []byte, dataLen int, id StreamID) error
-	// Read fetches lpa, decoding through the stream's ECC scheme.
+	// Read fetches lpa, decoding through the stream's ECC scheme: a
+	// one-op ReadBatch with its own buffer, so it never recycles the
+	// payloads of an outstanding ReadBatch. The payload stays valid
+	// until the next Read.
 	Read(lpa int64) (ReadResult, error)
+	// Digest returns the host payload digest recorded for a mapped lpa
+	// (false when the page carries none: accounting-only writes).
+	//
+	// Digests make the backend an integrity oracle: a write carries the
+	// host-computed digest (BatchOp.Digest) into the page's OOB tag,
+	// and relocation and rebuild carry it through verbatim, never
+	// recomputing it from the medium. A digest therefore always
+	// describes the bytes the host originally wrote; a clean read whose
+	// payload hashes differently is a silent corruption (in this model:
+	// degraded data crystallized by a GC/scrub relocation re-encoding it
+	// under fresh ECC).
+	Digest(lpa int64) (uint64, bool)
+	// Hint returns the lifetime bin recorded for a mapped lpa (false
+	// when unmapped). Like the digest, the hint is persisted in OOB at
+	// program time and carried verbatim through relocation, so every
+	// GC decision derived from hints is a pure function of OOB state
+	// and a rebuilt backend reaches the same decisions.
+	Hint(lpa int64) (LifetimeHint, bool)
+	// HintedWrites returns how many host writes carried a non-None
+	// lifetime hint; DeadSkipStats returns the GC victims parked
+	// awaiting predicted deaths and the live pages those parks
+	// deferred. Kept off Stats, whose fields are golden-coupled.
+	HintedWrites() int64
+	DeadSkipStats() (defers, pages int64)
 	// Trim drops the mapping for lpa (host discard / file delete).
 	Trim(lpa int64) error
 	// Contains reports whether lpa is mapped.
@@ -287,25 +356,6 @@ type Backend interface {
 	// CheckInvariants verifies the backend's internal consistency
 	// contract (exported for the crash-torture harness).
 	CheckInvariants() error
-}
-
-// DigestStore is the optional Backend extension for end-to-end
-// integrity digests (internal/audit). WriteDigested behaves exactly
-// like Write but additionally records the host-computed digest of the
-// payload in the page's OOB tag, so it survives power loss through the
-// same rebuild path as the mapping itself. Digest returns the recorded
-// digest for a mapped lpa (false when the page carries none —
-// accounting-only writes, or pages written before digests existed).
-//
-// The contract that makes digests an integrity oracle: relocation and
-// rebuild carry the digest through verbatim, never recomputing it from
-// the medium. A digest therefore always describes the bytes the host
-// originally wrote; a clean read whose payload hashes differently is a
-// silent corruption (in this model: degraded data crystallized by a
-// GC/scrub relocation re-encoding it under fresh ECC).
-type DigestStore interface {
-	WriteDigested(lpa int64, data []byte, dataLen int, id StreamID, digest uint64) error
-	Digest(lpa int64) (uint64, bool)
 }
 
 // Kind names a backend implementation.

@@ -8,15 +8,15 @@ import (
 	"sos/internal/storage"
 )
 
-// Batched multi-queue writes over zones. Zone appends are inherently
-// serial — every append advances a shared write pointer — so the batch
-// path parallelizes only the ECC encode (per-queue arenas, one worker
-// per queue) and then replays the appends in one canonical pass that is
-// operation-for-operation identical to calling Write in Seq order.
-// Unlike the device-side FTL there is no plane fan-out to guard, so the
-// path needs no PlanedFlash gate: encode is a pure function of the
-// bytes, and the chip sees the same serial op sequence as the unbatched
-// path at every queue and worker count.
+// Batched multi-queue writes over zones: the only write path (Write is
+// a batch of one). Zone appends are inherently serial — every append
+// advances a shared write pointer — so the batch path parallelizes only
+// the ECC encode (per-queue arenas, one worker per queue) and then
+// replays the appends in one canonical pass that is
+// operation-for-operation identical to one-op batches in Seq order.
+// Unlike the device-side FTL there is no plane fan-out to guard: encode
+// is a pure function of the bytes, and the chip sees the same op
+// sequence at every queue and worker count.
 
 // encSlot is per-op encode bookkeeping: the op's slot in its queue
 // arena. n < 0 marks an op rejected by validation; n == 0 marks an
@@ -35,14 +35,18 @@ type batchScratch struct {
 	wg     sync.WaitGroup
 }
 
-var _ storage.BatchWriter = (*Backend)(nil)
-
-// WriteBatch implements storage.BatchWriter. fates[i] records the
-// outcome of ops[i]; queues is the submission-queue count the ops were
-// dealt across and workers bounds goroutine use. Results are identical
-// for every (queues, workers) pair.
+// WriteBatch implements storage.Backend. fates[i] records the outcome
+// of ops[i]; queues is the submission-queue count the ops were dealt
+// across and workers bounds goroutine use. Results are identical for
+// every (queues, workers) pair.
 func (b *Backend) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, queues, workers int) {
 	defer b.flushCapacity()
+	b.writeBatch(ops, fates, queues, workers)
+}
+
+// writeBatch runs the encode and append passes; WriteBatch and Write
+// deliver the capacity callback around it.
+func (b *Backend) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, queues, workers int) {
 	if len(ops) == 0 {
 		return
 	}
@@ -74,9 +78,9 @@ func (b *Backend) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, q
 			storedLen = b.dev.pol[b.attrs[op.Stream]].Scheme.Overhead(dataLen)
 		}
 		// Serial left zero: appendCore stamps it once the destination zone
-		// is secured, exactly as the per-op path does.
+		// is secured (GC relocations must not outrank this write).
 		tag := flash.PageTag{LPA: op.LPA, Stream: uint8(op.Stream), DataLen: int32(dataLen), Digest: op.Digest, HasDigest: op.HasDigest, Hint: uint8(op.Hint)}
-		z, idx, blk, page, err := b.appendStoredToStream(op.Stream, stored, storedLen, dataLen, tag, op.Hint)
+		z, idx, blk, page, err := b.appendCore(op.Stream, nil, stored, storedLen, dataLen, tag, true, op.Hint)
 		if err != nil {
 			fates[i] = storage.BatchFate{Err: err, Block: -1, Page: -1}
 			continue
@@ -149,12 +153,7 @@ func (b *Backend) encodeBatch(ops []storage.BatchOp, fates []storage.BatchFate, 
 			enc[i] = encSlot{n: 0}
 			continue
 		}
-		sch := b.dev.pol[b.attrs[op.Stream]].Scheme
-		padded := dataLen
-		if _, isHamming := sch.(ecc.HammingScheme); isHamming {
-			padded = (dataLen + 7) &^ 7
-		}
-		n := sch.Overhead(padded)
+		n := ecc.StoredLen(b.dev.pol[b.attrs[op.Stream]].Scheme, dataLen)
 		q := op.Queue
 		if q < 0 || q >= queues {
 			q = 0
