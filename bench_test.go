@@ -444,7 +444,7 @@ func BenchmarkFTLRead(b *testing.B) {
 // dealt across 4 submission queues and the batch's encode and program
 // phases fan out up to GOMAXPROCS workers; per-op cost is the batch
 // total amortized over its ops. BenchmarkDeviceWriteSerial below keeps
-// the one-op-at-a-time path measured.
+// one-op-at-a-time submission measured.
 func BenchmarkDeviceWrite(b *testing.B) {
 	clock := &sim.Clock{}
 	dev, err := device.New(device.Config{
@@ -488,9 +488,10 @@ func BenchmarkDeviceWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkDeviceWriteSerial is the old per-op write path, kept under
-// measurement so the batch speedup stays an observable ratio rather
-// than replacing its own denominator.
+// BenchmarkDeviceWriteSerial times per-op Device.Write, which is a
+// one-op batch through the same datapath: the ratio to
+// BenchmarkDeviceWrite is what batching amortizes. The name is kept so
+// the committed baseline rows still match.
 func BenchmarkDeviceWriteSerial(b *testing.B) {
 	clock := &sim.Clock{}
 	dev, err := device.NewSOS(device.DefaultGeometry(), 1, clock)
@@ -590,9 +591,10 @@ func BenchmarkDeviceRead(b *testing.B) {
 	}
 }
 
-// BenchmarkDeviceReadSerial is the per-op read path on the same
-// geometry, kept under measurement so the batched read speedup stays an
-// observable ratio rather than replacing its own denominator.
+// BenchmarkDeviceReadSerial times per-op Device.Read on the same
+// geometry, a one-op batch through the batched read datapath: the
+// ratio to BenchmarkDeviceRead is what batching amortizes. The name is
+// kept so the committed baseline rows still match.
 func BenchmarkDeviceReadSerial(b *testing.B) {
 	const fill = 8000
 	dev := benchReadDevice(b, 1, 1, 1, fill)
