@@ -3,7 +3,7 @@
 # goroutines; the torture tier replays the crash matrix under the race
 # detector. CI (or a pre-merge hand-run) should execute all three.
 
-.PHONY: verify verify-race verify-all torture bench-parallel bench-smoke bench-json bench-gate determinism fmt obs audit serve-smoke placement
+.PHONY: verify verify-race verify-all torture fuzz-smoke bench-parallel bench-smoke bench-json bench-gate determinism fmt obs audit serve-smoke placement
 
 # Formatting gate: fail if any file needs gofmt.
 fmt:
@@ -35,7 +35,12 @@ torture:
 	go test -race ./internal/zns/ -run 'TestBackendRecover|TestCrash'
 	go test -race -parallel 8 ./internal/torture/
 
-verify-all: verify verify-race torture bench-smoke bench-gate audit serve-smoke placement
+# Fuzz smoke: ten seconds of coverage-guided fuzzing of Reed-Solomon
+# decode beyond the committed seed corpus (which plain go test replays).
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzRSDecodeInPlace$$' -fuzztime 10s ./internal/ecc
+
+verify-all: verify verify-race torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement
 
 # Serial vs parallel RunAll wall-clock (quick fidelity under -short).
 bench-parallel:
@@ -51,7 +56,7 @@ bench-smoke:
 # allocs/op). Redirect to refresh the committed baseline:
 #
 #	make bench-json > BENCH_PR10.json
-BENCH_REGEX := BenchmarkRSEncode4K|BenchmarkRSDecode|BenchmarkHammingEncode4K|BenchmarkFlashProgramRead|BenchmarkFTLWrite|BenchmarkFTLRead|BenchmarkFTLRebuild|BenchmarkDeviceWrite|BenchmarkDeviceRead|BenchmarkDeviceReadSerial|BenchmarkGCRelocateBatch|BenchmarkAuditPass|BenchmarkZNSAppend|BenchmarkRecorder
+BENCH_REGEX := BenchmarkRSEncode4K|BenchmarkRSEncodeDense4K|BenchmarkRSDecode|BenchmarkHammingEncode4K|BenchmarkFlashProgramRead|BenchmarkFTLWrite|BenchmarkFTLRead|BenchmarkFTLRebuild|BenchmarkDeviceWrite|BenchmarkDeviceRead|BenchmarkDeviceReadSerial|BenchmarkGCRelocateBatch|BenchmarkAuditPass|BenchmarkZNSAppend|BenchmarkRecorder
 
 bench-json:
 	@go build -o /tmp/benchjson ./cmd/benchjson

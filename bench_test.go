@@ -273,6 +273,47 @@ func BenchmarkRSDecodeCorrupt4K(b *testing.B) {
 	}
 }
 
+// densePage4K is a fixed xorshift-filled 4 KiB page: real payload, whose
+// codewords take the dense remainder kernel rather than the sparse path
+// the zero-filled pages above exercise.
+func densePage4K() []byte {
+	page := make([]byte, 4096)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range page {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		page[i] = byte(x)
+	}
+	return page
+}
+
+func BenchmarkRSEncodeDense4K(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	data := densePage4K()
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Encode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRSDecodeDense4K(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	cw, _ := s.Encode(densePage4K())
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Decode(cw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHammingEncode4K(b *testing.B) {
 	data := make([]byte, 4096)
 	b.SetBytes(4096)

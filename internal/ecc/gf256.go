@@ -15,10 +15,11 @@ var (
 	gfExp [512]byte // exp table doubled to avoid mod-255 in Mul
 	gfLog [256]byte
 
-	// gfMulTab is the full 256x256 product table. Hot loops (RS encode
-	// rows, syndrome accumulation) index a row once per codeword and then
-	// multiply with a single table load per byte, instead of the two
-	// log/exp lookups plus zero-branch in gfMul. 64 KiB, built once.
+	// gfMulTab is the full 256x256 product table. Loops multiplying many
+	// bytes by one constant (RS remainder rows, dirty-codeword syndromes)
+	// index a row once and then multiply with a single table load per
+	// byte, instead of the two log/exp lookups plus zero-branch in gfMul.
+	// 64 KiB, built once.
 	gfMulTab [256][256]byte
 )
 
@@ -86,19 +87,4 @@ func polyEval(p []byte, x byte) byte {
 		y = gfMul(y, x) ^ c
 	}
 	return y
-}
-
-// polyMul multiplies two polynomials over GF(2^8),
-// coefficients highest-degree first.
-func polyMul(a, b []byte) []byte {
-	out := make([]byte, len(a)+len(b)-1)
-	for i, ca := range a {
-		if ca == 0 {
-			continue
-		}
-		for j, cb := range b {
-			out[i+j] ^= gfMul(ca, cb)
-		}
-	}
-	return out
 }

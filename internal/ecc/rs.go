@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrUncorrectable reports that a codeword held more errors than the code
@@ -17,33 +16,44 @@ var ErrUncorrectable = errors.New("ecc: uncorrectable codeword")
 // are data||parity with len(data)+nparity <= 255.
 type RS struct {
 	nparity int
-	gen     []byte // generator polynomial, highest-degree first
-	// encRows[f] holds f*gen[1..nparity], the row XORed into the working
-	// buffer when synthetic division eliminates a coefficient with
-	// feedback f. Row 0 is never used (zero feedback is skipped).
-	encRows [256][]byte
+	// remTab[f] is f·gen[1..nparity] packed big-endian into four words
+	// and zero-padded at the low end: the row the remainder register
+	// XORs in after shifting out a top byte with feedback f.
+	remTab [256][4]uint64
 }
 
+// maxParity is the widest parity the four-word remainder register holds.
+const maxParity = 32
+
 // NewRS returns a Reed-Solomon coder with the given number of parity
-// bytes (must be in [2, 254] and even for a sensible correction budget;
-// odd values are allowed and floor the budget).
+// bytes, in [1, 32]; even values give a sensible correction budget, odd
+// ones floor it.
 func NewRS(nparity int) (*RS, error) {
-	if nparity < 1 || nparity > 254 {
+	if nparity < 1 || nparity > maxParity {
 		return nil, fmt.Errorf("ecc: invalid parity count %d", nparity)
 	}
-	gen := []byte{1}
+	// gen = Π(x - α^i) for i < nparity, highest-degree first, built in
+	// place one factor at a time.
+	var gen [maxParity + 1]byte
+	gen[0] = 1
 	for i := 0; i < nparity; i++ {
-		gen = polyMul(gen, []byte{1, gfExp[i]})
-	}
-	r := &RS{nparity: nparity, gen: gen}
-	rows := make([]byte, 256*nparity)
-	for f := 1; f < 256; f++ {
-		row := rows[f*nparity : (f+1)*nparity]
-		mul := &gfMulTab[f]
-		for j := 0; j < nparity; j++ {
-			row[j] = mul[gen[j+1]]
+		for j := i + 1; j > 0; j-- {
+			gen[j] ^= gfMul(gen[j-1], gfExp[i])
 		}
-		r.encRows[f] = row
+	}
+	r := &RS{nparity: nparity}
+	// Multiplying by f is GF(2)-linear in f: build the single-bit rows,
+	// then row f is row f&(f-1) XOR row f&-f, both built before it
+	// (single-bit rows XOR the zero row 0 and stay as built).
+	for b := 0; b < 8; b++ {
+		row := &r.remTab[1<<b]
+		for j := 0; j < nparity; j++ {
+			row[j/8] |= uint64(gfMulTab[1<<b][gen[j+1]]) << (56 - 8*(j%8))
+		}
+	}
+	for f := 1; f < 256; f++ {
+		hi, lo := &r.remTab[f&(f-1)], &r.remTab[f&-f]
+		r.remTab[f] = [4]uint64{hi[0] ^ lo[0], hi[1] ^ lo[1], hi[2] ^ lo[2], hi[3] ^ lo[3]}
 	}
 	return r, nil
 }
@@ -72,64 +82,35 @@ func (r *RS) Encode(data []byte) ([]byte, error) {
 // must be exactly len(data)+ParityBytes() bytes. len(data) must be in
 // (0, MaxData] — callers validate. It allocates nothing.
 func (r *RS) encodeInto(cw, data []byte) {
-	np := r.nparity
 	copy(cw, data)
-	tail := cw[len(data):]
-	for i := range tail {
-		tail[i] = 0
+	rem := r.remainder(data)
+	copy(cw[len(data):], rem[:r.nparity])
+}
+
+// remainder returns data·x^nparity mod gen, highest-degree first in the
+// first nparity bytes (the rest are zero): the parity systematic
+// encoding appends to data. It runs a 256-bit shift register, one table
+// row per data byte: the feedback is the byte XOR the register's top
+// byte, the register shifts left a byte and XORs in the feedback's row.
+func (r *RS) remainder(data []byte) (rem [maxParity]byte) {
+	// A zero register stays zero through zero bytes: skip the leading
+	// zero run a word at a time.
+	for len(data) >= 8 && binary.LittleEndian.Uint64(data) == 0 {
+		data = data[8:]
 	}
-	// Systematic encoding: parity is the remainder of data * x^nparity
-	// divided by the generator. Synthetic long division in place:
-	// eliminating coefficient cw[i] (feedback f) XORs f*gen[1..np] into
-	// cw[i+1..i+np]; the last np bytes end up holding the remainder.
-	// No per-byte register shift, no per-byte gfMul — one precomputed
-	// row XOR per nonzero feedback.
-	//
-	// Zero runs are inert (feedback 0 eliminates nothing), so — like
-	// syndromes skipping leading zeros — the scan jumps over them a
-	// word at a time wherever the working buffer still mirrors the
-	// data. dirtyHi tracks how far feedback XORs have scrambled cw:
-	// below it cw may differ from data and must be read byte-wise;
-	// at or beyond it cw is untouched since the initial copy. Sparse
-	// pages (zero-dominated media, freshly trimmed space) encode in
-	// O(nonzero bytes) instead of O(page).
-	n := len(data)
-	dirtyHi := 0
-	i := 0
-	for i < n {
-		if i >= dirtyHi {
-			for n-i >= 8 {
-				w := binary.LittleEndian.Uint64(cw[i:])
-				if w != 0 {
-					i += bits.TrailingZeros64(w) >> 3
-					break
-				}
-				i += 8
-			}
-			if i >= n {
-				break
-			}
-		}
-		f := cw[i]
-		if f != 0 {
-			row := r.encRows[f]
-			dst := cw[i+1:][:np]
-			for j := 0; j < np; j++ {
-				dst[j] ^= row[j]
-			}
-			if i+1+np > dirtyHi {
-				dirtyHi = i + 1 + np
-			}
-		}
-		i++
+	var w0, w1, w2, w3 uint64
+	for _, c := range data {
+		row := &r.remTab[byte(w0>>56)^c]
+		w0 = (w0<<8 | w1>>56) ^ row[0]
+		w1 = (w1<<8 | w2>>56) ^ row[1]
+		w2 = (w2<<8 | w3>>56) ^ row[2]
+		w3 = w3<<8 ^ row[3]
 	}
-	// The division scrambled the data prefix up to dirtyHi; restore it.
-	// The remainder (parity tail) is beyond len(data) and untouched. A
-	// clean buffer (all-zero data) skips the copy entirely.
-	if dirtyHi > n {
-		dirtyHi = n
-	}
-	copy(cw[:dirtyHi], data)
+	binary.BigEndian.PutUint64(rem[0:], w0)
+	binary.BigEndian.PutUint64(rem[8:], w1)
+	binary.BigEndian.PutUint64(rem[16:], w2)
+	binary.BigEndian.PutUint64(rem[24:], w3)
+	return rem
 }
 
 // syndromes computes the nparity syndromes of the codeword; all-zero
@@ -140,11 +121,11 @@ func (r *RS) syndromes(cw []byte) ([]byte, bool) {
 }
 
 // sparseSyndromeMax bounds the nonzero-coefficient count the sparse
-// syndrome path handles; denser codewords fall back to Horner's rule.
-// Crossover: sparse spends ~4 cheap ops per (nonzero byte, root) pair
-// vs Horner's one dependent table load per (byte, root) pair, so sparse
-// stays comfortably ahead while nonzero bytes < len/4 for both
-// configured codes (rs-light 16, rs-strong 32).
+// syndrome path handles; denser codewords take the remainder kernel.
+// Sparse spends a few cheap ops per (nonzero byte, root) pair, the
+// kernel one dependent table load per data byte past the leading zero
+// run. Zero-filled slices carrying a few raw flips, the shape this path
+// exists for, sit far below the bound; real payload sits far above it.
 const sparseSyndromeMax = 48
 
 // syndromesInto computes the syndromes into caller-owned scratch (len
@@ -158,9 +139,8 @@ func (r *RS) syndromesInto(syn, cw []byte) bool {
 	// slices carrying a few raw bit flips, the dominant shape on the
 	// simulated media — have a handful of nonzero coefficients, so
 	// collect their positions (a word at a time through the zero runs)
-	// and evaluate only those terms: O(nonzero·nparity) instead of
-	// O(len·nparity). Codewords that prove dense mid-scan bail to the
-	// Horner evaluation below.
+	// and evaluate only those terms: O(nonzero·nparity). Codewords that
+	// prove dense mid-scan bail to the remainder kernel below.
 	var pos [sparseSyndromeMax]uint8
 	nz := 0
 	dense := false
@@ -228,31 +208,35 @@ func (r *RS) syndromesInto(syn, cw []byte) bool {
 		}
 		return true
 	}
-	// Dense codeword: Horner's rule per root, skipping the leading zero
-	// run once (zero coefficients are inert — the accumulator stays 0
-	// until the first nonzero byte, which the scan above already found).
-	first := int(pos[0])
-	clean := true
+	// Dense codeword: cw mod gen is the data's re-encoded parity XOR the
+	// stored parity, and S_i = (cw mod gen)(α^i) since every α^i is a
+	// root of gen. A zero remainder is a clean codeword; otherwise
+	// Horner's rule over the nparity remainder bytes gives the syndromes.
+	data := len(cw) - np
+	rem := r.remainder(cw[:data])
+	dirty := byte(0)
+	for j, p := range cw[data:] {
+		rem[j] ^= p
+		dirty |= rem[j]
+	}
+	if dirty == 0 {
+		for i := range syn {
+			syn[i] = 0
+		}
+		return true
+	}
 	for i := 0; i < np; i++ {
 		// A single row of the product table: for root x, s = s*x ^ c
-		// becomes one load per codeword byte.
+		// becomes one load per remainder byte.
 		row := &gfMulTab[gfExp[i]]
-		s := cw[first]
-		for _, c := range cw[first+1:] {
+		var s byte
+		for _, c := range rem[:np] {
 			s = row[s] ^ c
 		}
 		syn[i] = s
-		if s != 0 {
-			clean = false
-		}
 	}
-	return clean
+	return false
 }
-
-// maxStackParity bounds the stack scratch DecodeInPlace uses for its
-// syndrome check; every configured scheme (rs-light 16, rs-strong 32)
-// fits well inside it.
-const maxStackParity = 64
 
 // DecodeInPlace is Decode's allocation-free fast path: it syndrome-
 // checks the codeword with stack scratch and, when clean, returns the
@@ -263,11 +247,9 @@ func (r *RS) DecodeInPlace(cw []byte) (data []byte, corrected int, err error) {
 	if len(cw) <= r.nparity || len(cw) > 255 {
 		return nil, 0, fmt.Errorf("ecc: codeword length %d out of range", len(cw))
 	}
-	if r.nparity <= maxStackParity {
-		var scratch [maxStackParity]byte
-		if r.syndromesInto(scratch[:r.nparity], cw) {
-			return cw[:len(cw)-r.nparity], 0, nil
-		}
+	var scratch [maxParity]byte
+	if r.syndromesInto(scratch[:r.nparity], cw) {
+		return cw[:len(cw)-r.nparity], 0, nil
 	}
 	return r.Decode(cw)
 }

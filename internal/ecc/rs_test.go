@@ -3,6 +3,7 @@ package ecc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,9 @@ func TestRSGeometryErrors(t *testing.T) {
 	if _, err := NewRS(0); err == nil {
 		t.Error("NewRS(0) accepted")
 	}
+	if _, err := NewRS(33); err == nil {
+		t.Error("NewRS(33) accepted: the remainder register holds 32 parity bytes")
+	}
 	if _, err := NewRS(255); err == nil {
 		t.Error("NewRS(255) accepted")
 	}
@@ -221,29 +225,28 @@ func TestRSShortCodeword(t *testing.T) {
 	}
 }
 
+// refParities are the parity counts the reference tests cover: both
+// ends of NewRS's range and every width the remainder register packs
+// differently (one, two and four words).
+var refParities = []int{1, 4, 8, 16, 32}
+
 func TestSyndromesSparseMatchesReference(t *testing.T) {
 	// syndromesInto picks a sparse evaluation for nearly-zero codewords
-	// and Horner's rule for dense ones; both must agree with the direct
-	// polynomial evaluation S_i = cw(α^i) at every density, especially
-	// around the sparseSyndromeMax crossover.
+	// and the remainder kernel for dense ones; both must agree with the
+	// direct polynomial evaluation S_i = cw(α^i) at every density,
+	// especially around the sparseSyndromeMax crossover, on shortened
+	// codewords, and on valid codewords with and without corruption
+	// (the kernel's clean verdict).
 	rng := sim.NewRNG(11)
-	for _, np := range []int{16, 32} {
+	for _, np := range refParities {
 		rs, err := NewRS(np)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := make([]byte, np)
 		got := make([]byte, np)
-		for _, nz := range []int{0, 1, 2, 3, sparseSyndromeMax - 1, sparseSyndromeMax, sparseSyndromeMax + 1, 100, 255} {
-			cw := make([]byte, 255)
-			for placed := 0; placed < nz; {
-				p := rng.Intn(len(cw))
-				if cw[p] != 0 {
-					continue
-				}
-				cw[p] = byte(1 + rng.Intn(255))
-				placed++
-			}
+		check := func(what string, cw []byte) {
+			t.Helper()
 			wantClean := true
 			for i := 0; i < np; i++ {
 				ref[i] = polyEval(cw, gfExp[i])
@@ -253,12 +256,88 @@ func TestSyndromesSparseMatchesReference(t *testing.T) {
 			}
 			clean := rs.syndromesInto(got, cw)
 			if clean != wantClean {
-				t.Errorf("np=%d nz=%d: clean=%v, want %v", np, nz, clean, wantClean)
+				t.Errorf("np=%d len=%d %s: clean=%v, want %v", np, len(cw), what, clean, wantClean)
 			}
 			for i := 0; i < np; i++ {
 				if got[i] != ref[i] {
-					t.Errorf("np=%d nz=%d: syndrome %d = %#x, want %#x", np, nz, i, got[i], ref[i])
+					t.Errorf("np=%d len=%d %s: syndrome %d = %#x, want %#x", np, len(cw), what, i, got[i], ref[i])
 					break
+				}
+			}
+		}
+		for _, n := range []int{np + 1, 100, 255} {
+			for _, nz := range []int{0, 1, 2, 3, sparseSyndromeMax - 1, sparseSyndromeMax, sparseSyndromeMax + 1, 100, 255} {
+				if nz > n {
+					continue
+				}
+				cw := make([]byte, n)
+				for placed := 0; placed < nz; {
+					p := rng.Intn(len(cw))
+					if cw[p] != 0 {
+						continue
+					}
+					cw[p] = byte(1 + rng.Intn(255))
+					placed++
+				}
+				check(fmt.Sprintf("nz=%d", nz), cw)
+			}
+			for _, dense := range []bool{false, true} {
+				data := make([]byte, n-np)
+				for i := range data {
+					if dense || rng.Intn(50) == 0 {
+						data[i] = byte(rng.Uint64())
+					}
+				}
+				cw, err := rs.Encode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, nerr := range []int{0, 1, np/2 + 1, np} {
+					bad := append([]byte(nil), cw...)
+					for placed := 0; placed < nerr; {
+						p := rng.Intn(len(bad))
+						if bad[p] != cw[p] {
+							continue
+						}
+						bad[p] ^= byte(1 + rng.Intn(255))
+						placed++
+					}
+					check(fmt.Sprintf("dense=%v codeword with %d errors", dense, nerr), bad)
+				}
+			}
+		}
+	}
+}
+
+func TestRSEncodeMatchesDefinition(t *testing.T) {
+	// A systematic codeword is data followed by the unique parity that
+	// makes every generator root α^i (i < nparity) a root of the
+	// codeword, so checking both pins the parity bytes exactly.
+	rng := sim.NewRNG(12)
+	for _, np := range refParities {
+		rs, err := NewRS(np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= rs.MaxData(); n++ {
+			for _, dense := range []bool{false, true} {
+				data := make([]byte, n)
+				for i := range data {
+					if dense || rng.Intn(64) == 0 {
+						data[i] = byte(rng.Uint64())
+					}
+				}
+				cw, err := rs.Encode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(cw[:n], data) {
+					t.Fatalf("np=%d n=%d dense=%v: codeword prefix differs from data", np, n, dense)
+				}
+				for i := 0; i < np; i++ {
+					if s := polyEval(cw, gfExp[i]); s != 0 {
+						t.Fatalf("np=%d n=%d dense=%v: cw(α^%d) = %#x, want 0", np, n, dense, i, s)
+					}
 				}
 			}
 		}

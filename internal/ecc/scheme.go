@@ -235,7 +235,7 @@ type RSScheme struct {
 }
 
 // NewRSScheme builds an RS scheme with dataShard data bytes and nparity
-// parity bytes per codeword (dataShard+nparity <= 255).
+// parity bytes per codeword (nparity in [1, 32], dataShard+nparity <= 255).
 func NewRSScheme(dataShard, nparity int) (*RSScheme, error) {
 	rs, err := NewRS(nparity)
 	if err != nil {
