@@ -297,7 +297,9 @@ func (e *Engine) ReadFile(id fs.FileID) (ReadResult, error) {
 // read path: all of the file's pages are submitted as one batch
 // (fs.ReadBatch). Results are byte-identical to ReadFile; only the
 // latency model differs (batch makespan instead of per-page sum). The
-// workload runner uses it for read events.
+// workload runner uses it for read events. As with fs.ReadBatch, a
+// multi-page file's Data aliases a filesystem-owned buffer that the
+// next ReadFileBatch overwrites; copy it to keep it.
 func (e *Engine) ReadFileBatch(id fs.FileID) (ReadResult, error) {
 	return e.readFile(id, true)
 }

@@ -68,9 +68,10 @@ type FS struct {
 	busy FileID
 
 	// batch/rbatch are the reusable scratch for batched multi-page
-	// writes and reads.
+	// writes and reads; rdata holds the payload ReadBatch returns.
 	batch  []device.BatchWrite
 	rbatch []device.BatchRead
+	rdata  []byte
 }
 
 // New mounts a filesystem on the device.
@@ -361,6 +362,10 @@ func (f *FS) Read(id FileID) (ReadResult, error) {
 // Read at every (queues, read-workers) setting. Latency is the batch
 // makespan — where plane parallelism shows up in modelled time — rather
 // than Read's per-page sum. Single-page files take Read.
+//
+// A multi-page file's Data aliases a buffer the FS owns, so steady-state
+// reads allocate nothing: it stays valid until the next ReadBatch on
+// this FS, and callers that keep it longer must copy it (or use Read).
 func (f *FS) ReadBatch(id FileID) (ReadResult, error) {
 	e, ok := f.byID[id]
 	if !ok {
@@ -373,7 +378,10 @@ func (f *FS) ReadBatch(id FileID) (ReadResult, error) {
 	out.Size = e.size
 	out.Pages = len(e.pages)
 	if e.real {
-		out.Data = make([]byte, 0, e.size)
+		if int64(cap(f.rdata)) < e.size {
+			f.rdata = make([]byte, 0, e.size)
+		}
+		out.Data = f.rdata[:0]
 	}
 	if cap(f.rbatch) < len(e.pages) {
 		f.rbatch = make([]device.BatchRead, len(e.pages))

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"sos/internal/device"
@@ -282,5 +283,89 @@ func TestShrinkTriggersPressure(t *testing.T) {
 	f.Device().OnCapacityChange(written + 1024)
 	if !fired {
 		t.Fatal("shrink did not raise pressure")
+	}
+}
+
+func TestReadBatchMatchesRead(t *testing.T) {
+	// Two identically seeded filesystems age the same files on a worn
+	// chip; one reads page at a time, the other as one batch. Payload
+	// and damage must agree, including a size that ends mid-page.
+	sizes := []int{1500, 2048, 4000}
+	build := func() (*FS, []FileID) {
+		f, clock := testFS(t, 64)
+		chip := f.dev.Chip()
+		for b := 0; b < chip.Blocks(); b++ {
+			for i := 0; i < 380; i++ {
+				if err := chip.Erase(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var ids []FileID
+		for i, size := range sizes {
+			payload := make([]byte, size)
+			for j := range payload {
+				payload[j] = byte(j*7 + i)
+			}
+			class := device.ClassSys
+			if i%2 == 1 {
+				class = device.ClassSpare
+			}
+			id, err := f.Create(fmt.Sprintf("/f%d", i), payload, 0, class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		clock.Advance(3 * sim.Year)
+		return f, ids
+	}
+	perPage, _ := build()
+	batched, ids := build()
+	flips, degraded := 0, 0
+	for i, id := range ids {
+		want, err := perPage.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := batched.ReadBatch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Data) != sizes[i] || !bytes.Equal(got.Data, want.Data) {
+			t.Errorf("file %d: ReadBatch data (%d bytes) differs from Read's (%d bytes)", i, len(got.Data), len(want.Data))
+		}
+		if got.DegradedPages != want.DegradedPages || got.RawFlips != want.RawFlips {
+			t.Errorf("file %d: ReadBatch degraded=%d flips=%d, Read degraded=%d flips=%d",
+				i, got.DegradedPages, got.RawFlips, want.DegradedPages, want.RawFlips)
+		}
+		flips += want.RawFlips
+		degraded += want.DegradedPages
+	}
+	if flips == 0 || degraded == 0 {
+		t.Fatalf("aged files read back with %d flips and %d degraded pages; damage accounting not exercised", flips, degraded)
+	}
+}
+
+func TestReadBatchZeroAlloc(t *testing.T) {
+	// A multi-page real file's payload lands in the FS-owned buffer, so
+	// once scratch is warm a ReadBatch allocates nothing.
+	f, _ := testFS(t, 32)
+	id, err := f.Create("/a", bytes.Repeat([]byte{0x5a}, 1500), 0, device.ClassSys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := f.ReadBatch(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := f.ReadBatch(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ReadBatch allocates %.1f times per read, want 0", allocs)
 	}
 }
