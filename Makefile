@@ -35,10 +35,13 @@ torture:
 	go test -race ./internal/zns/ -run 'TestBackendRecover|TestCrash'
 	go test -race -parallel 8 ./internal/torture/
 
-# Fuzz smoke: ten seconds of coverage-guided fuzzing of Reed-Solomon
-# decode beyond the committed seed corpus (which plain go test replays).
+# Fuzz smoke: ten seconds of coverage-guided fuzzing per target —
+# Reed-Solomon decode, then the Hamming scheme — beyond the committed
+# seed corpora (which plain go test replays). go test takes one -fuzz
+# target per call.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRSDecodeInPlace$$' -fuzztime 10s ./internal/ecc
+	go test -run '^$$' -fuzz '^FuzzHammingScheme$$' -fuzztime 10s ./internal/ecc
 
 verify-all: verify verify-race torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement
 

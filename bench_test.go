@@ -862,18 +862,34 @@ func BenchmarkZNSAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev, err := zns.New(zns.Config{Chip: chip, BlocksPerZone: 4})
+	scheme := ecc.DetectOnly{}
+	dev, err := zns.New(zns.Config{
+		Chip:          chip,
+		BlocksPerZone: 4,
+		Approx:        &zns.AttrPolicy{Mode: flash.NativeMode(flash.PLC), Scheme: scheme},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	data := make([]byte, 4096)
+	var stored []byte
+	// Each append encodes the page into a reused buffer, as a host-side
+	// FTL does, then appends it.
+	encodeAppend := func(zone int) error {
+		var err error
+		if stored, err = ecc.EncodeToBuf(scheme, stored, data); err != nil {
+			return err
+		}
+		_, _, _, err = dev.Append(zone, stored, len(stored), len(data), flash.PageTag{})
+		return err
+	}
 	zone := -1
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if zone >= 0 {
-			if _, err := dev.Append(zone, data, 0); err == nil {
+			if err := encodeAppend(zone); err == nil {
 				continue
 			}
 			// Zone full: recycle it.
@@ -885,7 +901,7 @@ func BenchmarkZNSAppend(b *testing.B) {
 		if err := dev.Open(zone, zns.Approximate); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dev.Append(zone, data, 0); err != nil {
+		if err := encodeAppend(zone); err != nil {
 			b.Fatal(err)
 		}
 	}

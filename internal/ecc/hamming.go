@@ -82,13 +82,22 @@ func HammingEncode(data []byte) []byte {
 	if len(data)%8 != 0 {
 		panic("ecc: Hamming data length must be a multiple of 8")
 	}
-	words := len(data) / 8
-	out := make([]byte, len(data)+words)
-	copy(out, data)
-	for w := 0; w < words; w++ {
-		out[len(data)+w] = hammingEncodeWord(le64(data[w*8:]))
-	}
+	out := make([]byte, HammingOverhead(len(data)))
+	hammingEncodeInto(out, data)
 	return out
+}
+
+// hammingEncodeInto writes data, zero-padded to a whole word, then one
+// check byte per word into dst, and returns the stored length. dst
+// must hold HammingOverhead of the padded length.
+func hammingEncodeInto(dst, data []byte) int {
+	padded := (len(data) + 7) &^ 7
+	copy(dst, data)
+	clear(dst[len(data):padded])
+	for w := 0; w < padded/8; w++ {
+		dst[padded+w] = hammingEncodeWord(le64(dst[w*8:]))
+	}
+	return HammingOverhead(padded)
 }
 
 // HammingDecode corrects single-bit errors per 64-bit word in place,

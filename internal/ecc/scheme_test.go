@@ -193,3 +193,52 @@ func TestRSSchemeEmptyPayload(t *testing.T) {
 		t.Fatal("empty payload accepted")
 	}
 }
+
+// TestEncodeIntoMatchesEncode pins the EncodeInto contract for every
+// configured scheme: it writes exactly StoredLen bytes, the same bytes
+// Encode produces (for Hamming, from the payload zero-padded to a whole
+// word), rejects a destination one byte short, and allocates nothing.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	schemes := []Scheme{None{}, DetectOnly{}, HammingScheme{}, MustRSScheme(239, 16), MustRSScheme(223, 32)}
+	lengths := []int{4096}
+	for n := 1; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	payload := make([]byte, 4096)
+	for i := range payload {
+		payload[i] = byte(i*13 + 5)
+	}
+	for _, s := range schemes {
+		dst := make([]byte, StoredLen(s, 4096))
+		for _, n := range lengths {
+			data := payload[:n]
+			want := data
+			if _, ok := s.(HammingScheme); ok {
+				want = make([]byte, (n+7)&^7)
+				copy(want, data)
+			}
+			enc, err := s.Encode(want)
+			if err != nil {
+				t.Fatalf("%s len %d: Encode: %v", s.Name(), n, err)
+			}
+			need := StoredLen(s, n)
+			got, err := s.EncodeInto(dst[:need], data)
+			if err != nil || got != need {
+				t.Fatalf("%s len %d: EncodeInto = %d, %v; want %d", s.Name(), n, got, err, need)
+			}
+			if !bytes.Equal(dst[:got], enc) {
+				t.Fatalf("%s len %d: EncodeInto bytes differ from Encode", s.Name(), n)
+			}
+			if _, err := s.EncodeInto(dst[:need-1], data); err == nil {
+				t.Fatalf("%s len %d: destination one byte short accepted", s.Name(), n)
+			}
+			if allocs := testing.AllocsPerRun(5, func() {
+				if _, err := s.EncodeInto(dst[:need], data); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("%s len %d: EncodeInto allocates %.1f times", s.Name(), n, allocs)
+			}
+		}
+	}
+}

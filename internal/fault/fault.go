@@ -252,8 +252,8 @@ func (i *Injector) Read(b, page int) (flash.ReadResult, error) {
 	return i.inner.Read(b, page)
 }
 
-// program centralizes the fault schedule for both program entry points.
-func (i *Injector) program(b, page int, apply func() error) error {
+// ProgramTagged implements storage.Flash.
+func (i *Injector) ProgramTagged(b, page int, data []byte, dataLen int, tag flash.PageTag) error {
 	if i.down {
 		return i.errDown()
 	}
@@ -262,7 +262,7 @@ func (i *Injector) program(b, page int, apply func() error) error {
 		if i.plan.TornCut {
 			// The charge pulse completed before power died: the page is
 			// persisted but the host never sees the acknowledgement.
-			_ = apply()
+			_ = i.inner.ProgramTagged(b, page, data, dataLen, tag)
 		}
 		return cutErr
 	}
@@ -274,17 +274,7 @@ func (i *Injector) program(b, page int, apply func() error) error {
 		i.stats.InjectedProgramFails++
 		return fmt.Errorf("fault: injected program fail at op %d: %w", idx, flash.ErrProgramFail)
 	}
-	return apply()
-}
-
-// Program implements storage.Flash.
-func (i *Injector) Program(b, page int, data []byte, dataLen int) error {
-	return i.program(b, page, func() error { return i.inner.Program(b, page, data, dataLen) })
-}
-
-// ProgramTagged implements storage.Flash.
-func (i *Injector) ProgramTagged(b, page int, data []byte, dataLen int, tag flash.PageTag) error {
-	return i.program(b, page, func() error { return i.inner.ProgramTagged(b, page, data, dataLen, tag) })
+	return i.inner.ProgramTagged(b, page, data, dataLen, tag)
 }
 
 // Erase implements storage.Flash.

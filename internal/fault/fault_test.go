@@ -42,7 +42,7 @@ func TestTransparentPlan(t *testing.T) {
 	run := func(m storage.Flash) {
 		for b := 0; b < 4; b++ {
 			for p := 0; p < 8; p++ {
-				if err := m.Program(b, p, pagePayload(b, p), 64); err != nil {
+				if err := m.ProgramTagged(b, p, pagePayload(b, p), 64, flash.PageTag{}); err != nil {
 					t.Fatalf("program %d/%d: %v", b, p, err)
 				}
 			}
@@ -95,7 +95,7 @@ func TestProbabilisticDeterminism(t *testing.T) {
 		inj := New(newChip(t, 3), Plan{Seed: seed, ReadFaultProb: 0.3})
 		for b := 0; b < 2; b++ {
 			for p := 0; p < 8; p++ {
-				if err := inj.Program(b, p, pagePayload(b, p), 64); err != nil {
+				if err := inj.ProgramTagged(b, p, pagePayload(b, p), 64, flash.PageTag{}); err != nil {
 					t.Fatalf("program: %v", err)
 				}
 			}
@@ -142,7 +142,7 @@ func TestWindows(t *testing.T) {
 	// Each program targets a fresh block's page 0: an injected fail must
 	// not desynchronize the next op from the chip's program cursor.
 	for b := 0; b < 6; b++ { // ops 1..6
-		record("P", inj.Program(b, 0, pagePayload(b, 0), 64))
+		record("P", inj.ProgramTagged(b, 0, pagePayload(b, 0), 64, flash.PageTag{}))
 	}
 	for i := 0; i < 5; i++ { // ops 7..11
 		_, err := inj.Read(0, 0)
@@ -161,7 +161,7 @@ func TestWindows(t *testing.T) {
 	}
 	// Window-injected program fails must wrap the chip's sentinel so the
 	// FTL's seal-and-redirect logic sees them as ordinary media errors.
-	if err := New(newChip(t, 5), Plan{ProgramFailWindow: Window{From: 1, To: 2}}).Program(0, 0, pagePayload(0, 0), 64); !errors.Is(err, flash.ErrProgramFail) {
+	if err := New(newChip(t, 5), Plan{ProgramFailWindow: Window{From: 1, To: 2}}).ProgramTagged(0, 0, pagePayload(0, 0), 64, flash.PageTag{}); !errors.Is(err, flash.ErrProgramFail) {
 		t.Fatalf("injected program fail = %v, want ErrProgramFail", err)
 	}
 	if err := New(newChip(t, 5), Plan{EraseFailWindow: Window{From: 1, To: 2}}).Erase(0); !errors.Is(err, flash.ErrEraseFail) {
@@ -174,7 +174,7 @@ func TestWindows(t *testing.T) {
 func TestBadBlocks(t *testing.T) {
 	inj := New(newChip(t, 9), Plan{BadBlocks: []BlockRange{{From: 4, To: 6}}})
 	for _, b := range []int{4, 5} {
-		if err := inj.Program(b, 0, pagePayload(b, 0), 64); !errors.Is(err, flash.ErrProgramFail) {
+		if err := inj.ProgramTagged(b, 0, pagePayload(b, 0), 64, flash.PageTag{}); !errors.Is(err, flash.ErrProgramFail) {
 			t.Fatalf("program in dead block %d: %v", b, err)
 		}
 		if _, err := inj.Read(b, 0); !errors.Is(err, flash.ErrReadFault) {
@@ -185,7 +185,7 @@ func TestBadBlocks(t *testing.T) {
 		}
 	}
 	for _, b := range []int{3, 6} {
-		if err := inj.Program(b, 0, pagePayload(b, 0), 64); err != nil {
+		if err := inj.ProgramTagged(b, 0, pagePayload(b, 0), 64, flash.PageTag{}); err != nil {
 			t.Fatalf("healthy block %d faulted: %v", b, err)
 		}
 	}
@@ -200,11 +200,11 @@ func TestPowerCutClean(t *testing.T) {
 	chip := newChip(t, 13)
 	inj := New(chip, Plan{PowerCutAtOp: 3})
 	for p := 0; p < 2; p++ {
-		if err := inj.Program(0, p, pagePayload(0, p), 64); err != nil {
+		if err := inj.ProgramTagged(0, p, pagePayload(0, p), 64, flash.PageTag{}); err != nil {
 			t.Fatalf("pre-cut program: %v", err)
 		}
 	}
-	err := inj.Program(0, 2, pagePayload(0, 2), 64)
+	err := inj.ProgramTagged(0, 2, pagePayload(0, 2), 64, flash.PageTag{})
 	if !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("op 3 = %v, want ErrPowerCut", err)
 	}
@@ -242,7 +242,7 @@ func TestPowerCutClean(t *testing.T) {
 func TestPowerCutTorn(t *testing.T) {
 	chip := newChip(t, 13)
 	inj := New(chip, Plan{PowerCutAtOp: 1, TornCut: true})
-	err := inj.Program(0, 0, pagePayload(0, 0), 64)
+	err := inj.ProgramTagged(0, 0, pagePayload(0, 0), 64, flash.PageTag{})
 	if !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("torn op = %v, want ErrPowerCut", err)
 	}
@@ -270,7 +270,7 @@ func TestRestoreClearsOnlyCut(t *testing.T) {
 		PowerCutAtOp: 2,
 		BadBlocks:    []BlockRange{{From: 0, To: 1}},
 	})
-	if err := inj.Program(5, 0, pagePayload(5, 0), 64); err != nil { // op 1
+	if err := inj.ProgramTagged(5, 0, pagePayload(5, 0), 64, flash.PageTag{}); err != nil { // op 1
 		t.Fatalf("pre-cut program: %v", err)
 	}
 	if _, err := inj.Read(5, 0); !errors.Is(err, ErrPowerCut) {

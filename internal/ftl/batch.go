@@ -200,20 +200,6 @@ func (f *FTL) validateBatch(ops []storage.BatchOp, fates []storage.BatchFate) {
 	}
 }
 
-// encodeIntoFor encodes into dst via the scheme's IntoEncoder when it
-// has one, falling back to the allocating path (Hamming's 8-byte
-// padding, any future scheme without in-place support).
-func encodeIntoFor(s ecc.Scheme, dst, data []byte) (int, error) {
-	if enc, ok := s.(ecc.IntoEncoder); ok {
-		return enc.EncodeInto(dst, data)
-	}
-	out, err := encodeFor(s, data)
-	if err != nil {
-		return 0, err
-	}
-	return copy(dst, out), nil
-}
-
 // placeRun is phase B: starting at ops[start], reserve placements for
 // the longest prefix of ops the fast path can take — stream active
 // block has room, or a fresh block is allocatable without GC, without
@@ -398,8 +384,7 @@ func (f *FTL) encodeRunQueue(ops []storage.BatchOp, q, queues int) {
 		if oq != q {
 			continue
 		}
-		pol := &f.streams[d.stream]
-		n, err := encodeIntoFor(pol.Scheme, d.stored, op.Data)
+		n, err := f.streams[d.stream].Scheme.EncodeInto(d.stored, op.Data)
 		if err != nil {
 			d.err = flash.ErrProgramFail
 			continue
@@ -565,7 +550,7 @@ func (f *FTL) settleDescs(ops []storage.BatchOp, fates []storage.BatchFate) {
 		if !d.skipped {
 			// First failure on this block: seal it (freezing its page
 			// cursor at the chip's) and count the wear event, exactly as
-			// programToStream would. The failed program was an attempt.
+			// program would. The failed program was an attempt.
 			f.sealFailedBlock(d.block)
 			attempts--
 		}

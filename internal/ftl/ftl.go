@@ -145,8 +145,11 @@ type FTL struct {
 	w1fate [1]storage.BatchFate
 	r1op   [1]storage.BatchReadOp
 	r1fate [1]storage.BatchReadFate
-	// gcr is the batched GC victim-read scratch (see gc.go).
-	gcr gcReadScratch
+	// reloc is the relocation scratch (GC, scrub, reclassification);
+	// wenc is writeOne's encode buffer. They are separate because
+	// writeOne's program may run GC, which relocates.
+	reloc storage.Relocation
+	wenc  []byte
 
 	blocks   []blockState
 	freePool []int // erased, unallocated block ids
@@ -537,22 +540,19 @@ const maxProgramAttempts = 4
 // op's remaining program budget.
 func (f *FTL) writeOne(op *storage.BatchOp, attempts int) (int, int, error) {
 	pol := &f.streams[op.Stream]
-	dataLen := op.DataLen
-	if op.Data != nil {
-		dataLen = len(op.Data)
-	}
+	dataLen, storedLen := op.DataLen, pol.Scheme.Overhead(op.DataLen)
 	var stored []byte
-	storedLen := pol.Scheme.Overhead(dataLen)
 	if op.Data != nil {
 		var err error
-		stored, err = encodeFor(pol.Scheme, op.Data)
-		if err != nil {
+		if stored, err = ecc.EncodeToBuf(pol.Scheme, f.wenc, op.Data); err != nil {
 			return -1, -1, err
 		}
-		storedLen = len(stored)
+		f.wenc = stored
+		dataLen, storedLen = len(op.Data), len(stored)
 	}
-
-	b, page, err := f.programToStream(op, dataLen, stored, storedLen, attempts)
+	// The serial is stamped by program once the destination is secured.
+	tag := flash.PageTag{LPA: op.LPA, Stream: uint8(op.Stream), DataLen: int32(dataLen), Digest: op.Digest, HasDigest: op.HasDigest, Hint: uint8(op.Hint)}
+	b, page, err := f.program(stored, storedLen, tag, attempts, true)
 	if err != nil {
 		return -1, -1, err
 	}
@@ -569,16 +569,23 @@ func (f *FTL) writeOne(op *storage.BatchOp, attempts int) (int, int, error) {
 	return b, page, nil
 }
 
-// programToStream programs one page into the stream's active block,
-// absorbing program-status failures: a failed block is sealed (no
-// further programs), flagged for priority draining and retirement, and
-// the write retries on a fresh block, up to attempts programs in all.
-// The page carries an OOB tag so a remount can rebuild the mapping
-// tables.
-func (f *FTL) programToStream(op *storage.BatchOp, dataLen int, stored []byte, storedLen, attempts int) (blk, page int, err error) {
-	id, hint := op.Stream, op.Hint
+// program programs one page, tagged for rebuild, into the active block
+// of the tag's (stream, bin) slot, absorbing program-status failures: a
+// failed block is sealed (no further programs), flagged for priority
+// draining and retirement, and the program retries on a fresh block,
+// up to attempts programs in all. Host programs (host true) may run GC
+// to find room; relocations, which GC itself issues, may not — they
+// dip into the reserve instead.
+func (f *FTL) program(stored []byte, storedLen int, tag flash.PageTag, attempts int, host bool) (blk, page int, err error) {
+	id, hint := StreamID(tag.Stream), storage.LifetimeHint(tag.Hint)
 	for attempt := 0; attempt < attempts; attempt++ {
-		b, err := f.writableActive(id, hint)
+		var b int
+		var err error
+		if host {
+			b, err = f.writableActive(id, hint)
+		} else {
+			b, err = f.relocTarget(id, hint)
+		}
 		if err != nil {
 			return -1, -1, err
 		}
@@ -586,16 +593,18 @@ func (f *FTL) programToStream(op *storage.BatchOp, dataLen int, stored []byte, s
 		// writableActive may run GC, and GC relocations stamp serials of
 		// their own. Stamping earlier would let a relocated stale copy of
 		// this very LPA carry a newer serial than the write being acked —
-		// and win the rebuild election after a crash (silent loss).
+		// and win the rebuild election after a crash (silent loss). A
+		// fresh serial per attempt also keeps a successful retry ahead of
+		// any readable tag a failed program left behind.
 		f.writeSerial++
-		tag := flash.PageTag{LPA: op.LPA, Stream: uint8(id), DataLen: int32(dataLen), Serial: f.writeSerial, Digest: op.Digest, HasDigest: op.HasDigest, Hint: uint8(hint)}
+		tag.Serial = f.writeSerial
 		page := f.blocks[b].fullPages
 		perr := f.chip.ProgramTagged(b, page, stored, storedLen, tag)
 		if perr == nil {
 			f.blocks[b].fullPages++
 			f.blocks[b].valid++
 			f.flashPrograms++
-			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: op.LPA, Block: b, Page: page, Stream: int(id), Aux: int64(dataLen)})
+			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: tag.LPA, Block: b, Page: page, Stream: int(id), Aux: int64(tag.DataLen)})
 			return b, page, nil
 		}
 		if !errors.Is(perr, flash.ErrProgramFail) {
@@ -624,17 +633,6 @@ func (f *FTL) sealBlock(b int) {
 func (f *FTL) sealFailedBlock(b int) {
 	f.sealBlock(b)
 	f.progFailures++
-}
-
-// encodeFor pads data to 8-byte alignment when the scheme needs it
-// (Hamming) and encodes. Padding is stripped on decode via dataLen.
-func encodeFor(s ecc.Scheme, data []byte) ([]byte, error) {
-	if _, isHamming := s.(ecc.HammingScheme); isHamming && len(data)%8 != 0 {
-		padded := make([]byte, (len(data)+7)&^7)
-		copy(padded, data)
-		return s.Encode(padded)
-	}
-	return s.Encode(data)
 }
 
 // invalidate marks a physical page stale and updates block accounting.

@@ -4,23 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/obs"
 	"sos/internal/storage"
 )
-
-// gcReadScratch is reclaim's reusable state: the victim's live
-// pages, their chip-pool destination buffers, and the read run that
-// fills them. Kept separate from the read engines because GC can run
-// (via escalation-driven relocation) while a previous ReadBatch's
-// returned payloads are still live in their retained buffers.
-type gcReadScratch struct {
-	lpas  []int64
-	sizes []int
-	bufs  [][]byte
-	ops   []flash.ReadOp
-}
 
 // runGC reclaims stale capacity. Fully-dead blocks (no live pages) are
 // erased first — they need no relocation destination, so they are
@@ -253,131 +240,75 @@ func (f *FTL) isActive(b int) bool {
 	return false
 }
 
-// reclaim moves the victim's live pages to their stream's active block
-// and erases the victim back into the free pool. The victim's live
-// pages — all on one plane, the victim's own — are read as a single run
-// under one plane-lock acquisition (storage.ReadRuns), then the
-// relocations replay in page order, each consuming its pre-read result. Scratch is separate from the read
-// engines' (gcr), because GC can run while a ReadBatch's returned
-// payloads are still live in their retained buffers.
+// reclaim moves the victim's live pages to their streams' active
+// blocks and erases the victim back into the free pool. The live pages
+// — all on the victim's own plane — are read as one run under a single
+// plane-lock acquisition, then relocate in page order.
 func (f *FTL) reclaim(victim int) error {
 	st := &f.blocks[victim]
 	base := victim * f.ppb
-	g := &f.gcr
-	g.lpas = g.lpas[:0]
-	g.ops = g.ops[:0]
-	g.sizes = g.sizes[:0]
+	r := &f.reloc
+	r.Reset()
 	for page := 0; page < st.fullPages; page++ {
-		lpa := f.p2l[base+page]
-		if lpa < 0 {
-			continue
+		if lpa := f.p2l[base+page]; lpa >= 0 {
+			m := f.l2p[lpa]
+			r.Add(lpa, PPA{Block: victim, Page: page}, f.streams[m.stream].Scheme, m.dataLen)
 		}
-		m := f.l2p[lpa]
-		g.lpas = append(g.lpas, lpa)
-		g.sizes = append(g.sizes, ecc.StoredLen(f.streams[m.stream].Scheme, m.dataLen))
-		g.ops = append(g.ops, flash.ReadOp{Block: victim, Page: page})
 	}
-	if len(g.lpas) == 0 {
+	if r.Len() == 0 {
 		return f.eraseAndFree(victim)
 	}
-	n := len(g.lpas)
-	if cap(g.bufs) < n {
-		g.bufs = make([][]byte, n)
+	f.relocRetries += r.Read(f.chip)
+	var err error
+	for k := 0; k < r.Len() && err == nil; k++ {
+		lpa, op := r.Page(k)
+		err = f.relocateFrom(lpa, f.l2p[lpa].stream, op)
 	}
-	// Mirror readForRelocate's bounded retry of transient read faults.
-	f.relocRetries += storage.ReadRuns(f.chip, g.ops, g.sizes, g.bufs[:n], relocReadAttempts)
-	var firstErr error
-	for k := 0; k < n; k++ {
-		lpa := g.lpas[k]
-		if err := f.relocateFrom(lpa, f.l2p[lpa].stream, g.ops[k].Res, g.ops[k].Err); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	storage.ReleaseRuns(f.chip, g.ops, g.bufs)
-	if firstErr != nil {
-		return firstErr
+	r.Release(f.chip)
+	if err != nil {
+		return err
 	}
 	return f.eraseAndFree(victim)
 }
 
-// relocReadAttempts bounds the read retries relocation performs before
-// declaring a page unreadable. Transient interface faults (the fault
-// interposer's read bursts) usually clear within a retry or two; a page
-// that stays unreadable is salvaged or surfaced.
-const relocReadAttempts = 3
-
-// readForRelocate reads a physical page for relocation, retrying
-// transient read faults (flash.ErrReadFault) a bounded number of times.
-func (f *FTL) readForRelocate(ppa PPA) (flash.ReadResult, error) {
-	raw, err := f.chip.Read(ppa.Block, ppa.Page)
-	for attempt := 1; err != nil && errors.Is(err, flash.ErrReadFault) && attempt < relocReadAttempts; attempt++ {
-		f.relocRetries++
-		raw, err = f.chip.Read(ppa.Block, ppa.Page)
-	}
-	return raw, err
-}
-
 // relocate rewrites lpa into stream dst (same stream = GC/refresh move,
-// different stream = classification-driven promotion/demotion, §4.4).
+// different stream = classification-driven promotion/demotion, §4.4)
+// as a one-page relocation.
 func (f *FTL) relocate(lpa int64, dst StreamID) error {
 	m, ok := f.lookup(lpa)
 	if !ok {
 		return ErrUnknownLPA
 	}
-	raw, err := f.readForRelocate(m.ppa)
-	return f.relocateFrom(lpa, dst, raw, err)
+	r := &f.reloc
+	r.Reset()
+	r.Add(lpa, m.ppa, f.streams[m.stream].Scheme, m.dataLen)
+	f.relocRetries += r.Read(f.chip)
+	_, op := r.Page(0)
+	err := f.relocateFrom(lpa, dst, op)
+	r.Release(f.chip)
+	return err
 }
 
-// relocateFrom finishes a relocation whose source page has already been
-// read (possibly as part of a batched victim read): salvage, decode,
-// re-encode, program, remap — exactly relocate's tail.
-func (f *FTL) relocateFrom(lpa int64, dst StreamID, raw flash.ReadResult, err error) error {
+// relocateFrom finishes a relocation whose source page op has been
+// read: the shared relocation step (storage.Relocation.Move), then
+// program and remap.
+func (f *FTL) relocateFrom(lpa int64, dst StreamID, op *flash.ReadOp) error {
 	m, ok := f.lookup(lpa)
 	if !ok {
 		return ErrUnknownLPA
 	}
-	pol := &f.streams[dst]
+	mv, err := f.reloc.Move(op, &f.streams[m.stream], f.streams[dst].Scheme, m.dataLen, m.baseFlips)
 	if err != nil {
-		if !errors.Is(err, flash.ErrReadFault) || !f.streams[m.stream].Approximate() {
-			return fmt.Errorf("ftl: relocate read %v: %w", m.ppa, err)
-		}
-		// SPARE salvage: the medium cannot return the payload, but an
-		// approximate stream must not wedge GC on a dying block. The
-		// page moves as accounting-only with every bit marked suspect,
-		// so reads report Degraded (loss is reported, never silent).
-		raw = flash.ReadResult{DataLen: m.dataLen}
+		return fmt.Errorf("ftl: relocate %v: %w", m.ppa, err)
+	}
+	if mv.Salvaged {
 		f.salvagedPages++
 		f.salvagedBytes += int64(m.dataLen)
-		m.baseFlips += m.dataLen * 8
 		f.obs.Record(obs.Event{Kind: obs.EvSalvage, LBA: lpa, Block: m.ppa.Block, Page: m.ppa.Page, Stream: int(m.stream), Aux: int64(m.dataLen)})
 	}
-
-	var stored []byte
-	storedLen := pol.Scheme.Overhead(m.dataLen)
-	baseFlips := m.baseFlips
-	if raw.Data != nil {
-		// Decode with the source scheme to repair what it can; what it
-		// cannot repair crystallizes into the new copy.
-		srcPol := &f.streams[m.stream]
-		data, _, derr := srcPol.Scheme.Decode(raw.Data)
-		if len(data) > m.dataLen {
-			data = data[:m.dataLen]
-		}
-		if derr != nil {
-			f.degradedReads++
-		}
-		stored, err = encodeFor(pol.Scheme, data)
-		if err != nil {
-			return err
-		}
-		storedLen = len(stored)
-	} else {
-		// Accounting page: the medium's accumulated flips crystallize
-		// into the mapping so degradation survives the move.
-		baseFlips += raw.FlippedTotal
+	if mv.Degraded {
+		f.degradedReads++
 	}
-
 	// The digest travels with the page verbatim — never recomputed from
 	// the (possibly decayed) medium — so it keeps describing the bytes
 	// the host wrote. A relocation that crystallizes corruption therefore
@@ -386,46 +317,16 @@ func (f *FTL) relocateFrom(lpa int64, dst StreamID, raw flash.ReadResult, err er
 	// data keeps its predicted deathtime and lands in the destination
 	// stream's matching bin, so same-deathtime data stays co-located
 	// even across GC and demotion moves.
-	b, page, err := f.programForRelocation(dst, lpa, m.dataLen, stored, storedLen, m.digest, m.hasDigest, m.hint)
+	tag := flash.PageTag{LPA: lpa, Stream: uint8(dst), DataLen: int32(m.dataLen), Digest: m.digest, HasDigest: m.hasDigest, Hint: uint8(m.hint)}
+	b, page, err := f.program(mv.Stored, mv.StoredLen, tag, maxProgramAttempts, false)
 	if err != nil {
 		return err
 	}
 	f.gcMoves++
 
 	f.invalidate(m.ppa)
-	f.setMapping(lpa, mapping{ppa: PPA{Block: b, Page: page}, stream: dst, dataLen: m.dataLen, baseFlips: baseFlips, digest: m.digest, hasDigest: m.hasDigest, hint: m.hint})
+	f.setMapping(lpa, mapping{ppa: PPA{Block: b, Page: page}, stream: dst, dataLen: m.dataLen, baseFlips: mv.BaseFlips, digest: m.digest, hasDigest: m.hasDigest, hint: m.hint})
 	return nil
-}
-
-// programForRelocation programs one relocated page, absorbing
-// program-status failures the same way the host write path does.
-func (f *FTL) programForRelocation(dst StreamID, lpa int64, dataLen int, stored []byte, storedLen int, digest uint64, hasDigest bool, hint storage.LifetimeHint) (blk, page int, err error) {
-	for attempt := 0; attempt < maxProgramAttempts; attempt++ {
-		b, err := f.relocTarget(dst, hint)
-		if err != nil {
-			return -1, -1, err
-		}
-		// Serial stamped after the destination is secured, and afresh per
-		// attempt: a program-status failure can leave a readable tag
-		// behind, and the successful copy must outrank it at rebuild.
-		f.writeSerial++
-		tag := flash.PageTag{LPA: lpa, Stream: uint8(dst), DataLen: int32(dataLen), Serial: f.writeSerial, Digest: digest, HasDigest: hasDigest, Hint: uint8(hint)}
-		page := f.blocks[b].fullPages
-		perr := f.chip.ProgramTagged(b, page, stored, storedLen, tag)
-		if perr == nil {
-			f.blocks[b].fullPages++
-			f.blocks[b].valid++
-			f.flashPrograms++
-			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: lpa, Block: b, Page: page, Stream: int(dst), Aux: int64(dataLen)})
-			return b, page, nil
-		}
-		if !errors.Is(perr, flash.ErrProgramFail) {
-			return -1, -1, fmt.Errorf("ftl: relocate program: %w", perr)
-		}
-		f.sealFailedBlock(b)
-	}
-	return -1, -1, fmt.Errorf("ftl: relocation hit %d consecutive program failures: %w",
-		maxProgramAttempts, flash.ErrProgramFail)
 }
 
 // relocTarget returns a writable block for relocation in the

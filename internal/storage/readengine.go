@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -317,55 +316,4 @@ func (e *ReadEngine) settle(fates []BatchReadFate, name string, rec *obs.Recorde
 		fates[d.opIdx].Res = res
 	}
 	return degraded
-}
-
-// ReadRuns reads ops — a GC victim's live pages, in victim order — for
-// relocation: one ReadRunInto per run of consecutive same-block ops (a
-// block belongs to one plane), into chip-pool buffers of the given
-// stored sizes, so the plane RNG draws match per-page reads exactly.
-// bufs receives the buffers for ReleaseRuns. Transient read faults
-// (flash.ErrReadFault, which only the fault injector returns) are
-// retried per op, up to attempts reads in all; the result is the number
-// of retries.
-func ReadRuns(chip Flash, ops []flash.ReadOp, sizes []int, bufs [][]byte, attempts int) (retries int64) {
-	for lo, hi := 0, 0; lo < len(ops); lo = hi {
-		hi = sameBlockRun(ops, lo)
-		chip.TakeProgramBufs(chip.PlaneOf(ops[lo].Block), sizes[lo:hi], bufs[lo:hi])
-		for k := lo; k < hi; k++ {
-			ops[k].Dst = bufs[k]
-		}
-		chip.ReadRunInto(ops[lo:hi])
-	}
-	for k := range ops {
-		op := &ops[k]
-		for a := 1; op.Err != nil && errors.Is(op.Err, flash.ErrReadFault) && a < attempts; a++ {
-			retries++
-			op.Res, op.Err = chip.Read(op.Block, op.Page)
-		}
-	}
-	return retries
-}
-
-// ReleaseRuns returns ReadRuns' buffers to their plane pools and drops
-// every reference to them from ops and bufs.
-func ReleaseRuns(chip Flash, ops []flash.ReadOp, bufs [][]byte) {
-	for lo, hi := 0, 0; lo < len(ops); lo = hi {
-		hi = sameBlockRun(ops, lo)
-		chip.ReturnProgramBufs(chip.PlaneOf(ops[lo].Block), bufs[lo:hi])
-	}
-	clear(bufs[:len(ops)])
-	for k := range ops {
-		ops[k].Dst = nil
-		ops[k].Res = flash.ReadResult{}
-	}
-}
-
-// sameBlockRun returns the end of the run of ops sharing ops[lo]'s
-// block.
-func sameBlockRun(ops []flash.ReadOp, lo int) int {
-	hi := lo + 1
-	for hi < len(ops) && ops[hi].Block == ops[lo].Block {
-		hi++
-	}
-	return hi
 }

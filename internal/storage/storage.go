@@ -55,9 +55,9 @@ type Flash interface {
 	Blocks() int
 	// PagesIn returns the page count block b exposes in its current mode.
 	PagesIn(b int) (int, error)
-	// Program writes data (or an accounting-only length) to (b, page).
-	Program(b, page int, data []byte, dataLen int) error
-	// ProgramTagged programs a page and records OOB controller metadata.
+	// ProgramTagged programs data (or, with data nil, an
+	// accounting-only length) to (b, page) and records OOB controller
+	// metadata.
 	ProgramTagged(b, page int, data []byte, dataLen int, tag flash.PageTag) error
 	// Tag returns the OOB metadata of a written page, if any.
 	Tag(b, page int) (flash.PageTag, bool, error)

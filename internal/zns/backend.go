@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/obs"
 	"sos/internal/storage"
@@ -84,20 +83,9 @@ type Backend struct {
 	w1fate [1]storage.BatchFate
 	r1op   [1]storage.BatchReadOp
 	r1fate [1]storage.BatchReadFate
-	// gcr is the batched GC victim-read scratch (see reclaim).
-	gcr gcReadScratch
-}
-
-// gcReadScratch is reclaim's reusable state: the victim zone's live
-// pages, their chip-pool destination buffers, and the read runs that
-// fill them. Kept separate from the read engines because GC can run
-// (via escalation-driven relocation) while a previous ReadBatch's
-// returned payloads are still live in their retained buffers.
-type gcReadScratch struct {
-	lpas  []int64
-	sizes []int
-	bufs  [][]byte
-	ops   []flash.ReadOp
+	// reloc is the relocation scratch (GC, scrub, reclassification);
+	// relocations never nest, since their appends never run GC.
+	reloc storage.Relocation
 }
 
 // zmapping is the host-side L2P entry.
@@ -137,10 +125,6 @@ type BackendConfig struct {
 	// state, so it never perturbs a deterministic run.
 	Obs *obs.Recorder
 }
-
-// relocReadAttempts bounds read retries during relocation, matching the
-// device-side FTL's discipline.
-const relocReadAttempts = 3
 
 // NewBackend builds the host FTL over a fresh zoned device. Stream
 // policies are projected onto the two zone attributes: durable streams
@@ -444,18 +428,18 @@ func (b *Backend) Digest(lpa int64) (uint64, bool) {
 	return m.digest, true
 }
 
-// appendCore appends one tagged page into the stream's open zone,
-// absorbing program-status failures: the device seals the failed zone
-// early (ErrZoneFull below the capacity we pre-checked) and the append
-// retries on a fresh zone — the zone-granular analog of sealing a
-// failed block. Host writes (host true) arrive pre-encoded through the
-// zone attribute's scheme (storedLen >= 0); relocations (host false,
-// storedLen < 0) re-encode device-side from data, which may be nil for
-// accounting-only pages. It also reports the chip (block, page) the
-// payload landed on (-1/-1 when lookup fails), so batched callers can
-// stamp virtual-time lanes without a second locate.
-func (b *Backend) appendCore(id storage.StreamID, data, stored []byte, storedLen, dataLen int, tag flash.PageTag, host bool, hint storage.LifetimeHint) (zn, idx, blk, page int, err error) {
+// appendCore appends one page, pre-encoded through the zone
+// attribute's scheme (nil for accounting-only), into the open zone of
+// the tag's (stream, bin) slot, absorbing program-status failures: the
+// device seals the failed zone early (ErrZoneFull below the capacity we
+// pre-checked) and the append retries on a fresh zone — the
+// zone-granular analog of sealing a failed block. Host writes (host
+// true) may run GC to find a zone; relocations, which GC itself issues,
+// may not. It also reports the chip (block, page) the page landed on,
+// so batched callers can stamp virtual-time lanes.
+func (b *Backend) appendCore(stored []byte, storedLen int, tag flash.PageTag, host bool) (zn, idx, blk, page int, err error) {
 	const maxAttempts = 4
+	id, hint := storage.StreamID(tag.Stream), storage.LifetimeHint(tag.Hint)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		var z int
 		var err error
@@ -477,24 +461,14 @@ func (b *Backend) appendCore(id storage.StreamID, data, stored []byte, storedLen
 		// of any readable tag a failed program left behind.
 		b.writeSerial++
 		tag.Serial = b.writeSerial
-		var idx int
-		var aerr error
-		if storedLen >= 0 {
-			idx, aerr = b.dev.AppendTaggedStored(z, stored, storedLen, dataLen, tag)
-		} else {
-			idx, aerr = b.dev.AppendTagged(z, data, dataLen, tag)
-		}
+		idx, blk, page, aerr := b.dev.Append(z, stored, storedLen, int(tag.DataLen), tag)
 		if aerr == nil {
 			// The device seals the zone when the append hits capacity.
 			if s := aidx(id, hint); b.dev.zones[z].state != ZoneOpen && b.active[s] == z {
 				b.active[s] = -1
 			}
 			b.flashPrograms++
-			blk, page = -1, -1
-			if bk, pg, lerr := b.dev.locate(&b.dev.zones[z], idx); lerr == nil {
-				blk, page = bk, pg
-				b.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: tag.LPA, Block: bk, Page: pg, Stream: int(id), Aux: int64(dataLen)})
-			}
+			b.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: tag.LPA, Block: blk, Page: page, Stream: int(id), Aux: int64(tag.DataLen)})
 			return z, idx, blk, page, nil
 		}
 		if !errors.Is(aerr, ErrZoneFull) {
@@ -792,18 +766,14 @@ func (b *Backend) pickVictim(id storage.StreamID) int {
 }
 
 // reclaim drains the victim's live pages in append order and resets
-// it. The live pages are read as batched per-plane runs
-// (storage.ReadRuns) — a zone's blocks are consecutive chip blocks, so
-// append order visits each block (= one plane) as a contiguous segment
-// — then the relocations replay in append order, each consuming its
-// pre-read result.
+// it. The live pages are read as per-block runs — a zone's blocks are
+// consecutive chip blocks, so append order visits each block (= one
+// plane) as a contiguous segment — then relocate in append order.
 func (b *Backend) reclaim(z int) error {
 	zn := &b.dev.zones[z]
 	base := z * b.zcap
-	g := &b.gcr
-	g.lpas = g.lpas[:0]
-	g.sizes = g.sizes[:0]
-	g.ops = g.ops[:0]
+	r := &b.reloc
+	r.Reset()
 	for idx := 0; idx < zn.wp; idx++ {
 		lpa := b.p2l[base+idx]
 		if lpa < 0 {
@@ -814,30 +784,20 @@ func (b *Backend) reclaim(z int) error {
 			return err
 		}
 		m := b.l2p[lpa]
-		g.lpas = append(g.lpas, lpa)
-		g.sizes = append(g.sizes, ecc.StoredLen(b.streams[m.stream].Scheme, m.dataLen))
-		g.ops = append(g.ops, flash.ReadOp{Block: blk, Page: page})
+		r.Add(lpa, storage.PPA{Block: blk, Page: page}, b.streams[m.stream].Scheme, m.dataLen)
 	}
-	if len(g.lpas) == 0 {
+	if r.Len() == 0 {
 		return b.resetZone(z)
 	}
-	n := len(g.lpas)
-	if cap(g.bufs) < n {
-		g.bufs = make([][]byte, n)
+	b.relocRetries += r.Read(b.chip)
+	var err error
+	for k := 0; k < r.Len() && err == nil; k++ {
+		lpa, op := r.Page(k)
+		err = b.relocateFrom(lpa, b.l2p[lpa].stream, op)
 	}
-	// Mirror relocate's bounded retry of transient read faults.
-	b.relocRetries += storage.ReadRuns(b.chip, g.ops, g.sizes, g.bufs[:n], relocReadAttempts)
-	var firstErr error
-	for k := 0; k < n; k++ {
-		lpa := g.lpas[k]
-		if err := b.relocateFrom(lpa, b.l2p[lpa].stream, g.ops[k].Block, g.ops[k].Page, g.ops[k].Res, g.ops[k].Err); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	storage.ReleaseRuns(b.chip, g.ops, g.bufs)
-	if firstErr != nil {
-		return firstErr
+	r.Release(b.chip)
+	if err != nil {
+		return err
 	}
 	return b.resetZone(z)
 }
@@ -880,8 +840,9 @@ func (b *Backend) resetZone(z int) error {
 }
 
 // relocate rewrites lpa into stream dst (same stream = GC/refresh,
-// different = promotion/demotion), preserving accumulated degradation —
-// corruption crystallizes across moves exactly as in the device FTL.
+// different = promotion/demotion) as a one-page relocation, preserving
+// accumulated degradation — corruption crystallizes across moves
+// exactly as in the device FTL.
 func (b *Backend) relocate(lpa int64, dst storage.StreamID) error {
 	m, ok := b.lookup(lpa)
 	if !ok {
@@ -891,55 +852,36 @@ func (b *Backend) relocate(lpa int64, dst storage.StreamID) error {
 	if err != nil {
 		return err
 	}
-	raw, rerr := b.chip.Read(blk, page)
-	for attempt := 1; rerr != nil && errors.Is(rerr, flash.ErrReadFault) && attempt < relocReadAttempts; attempt++ {
-		b.relocRetries++
-		raw, rerr = b.chip.Read(blk, page)
-	}
-	return b.relocateFrom(lpa, dst, blk, page, raw, rerr)
+	r := &b.reloc
+	r.Reset()
+	r.Add(lpa, storage.PPA{Block: blk, Page: page}, b.streams[m.stream].Scheme, m.dataLen)
+	b.relocRetries += r.Read(b.chip)
+	_, op := r.Page(0)
+	err = b.relocateFrom(lpa, dst, op)
+	r.Release(b.chip)
+	return err
 }
 
-// relocateFrom finishes a relocation whose source page has already been
-// read (possibly as part of a batched victim read): salvage, decode,
-// re-append, remap — exactly relocate's tail.
-func (b *Backend) relocateFrom(lpa int64, dst storage.StreamID, blk, page int, raw flash.ReadResult, rerr error) error {
+// relocateFrom finishes a relocation whose source page op has been
+// read: the shared relocation step (storage.Relocation.Move), then a
+// pre-encoded append and remap.
+func (b *Backend) relocateFrom(lpa int64, dst storage.StreamID, op *flash.ReadOp) error {
 	m, ok := b.lookup(lpa)
 	if !ok {
 		return storage.ErrUnknownLPA
 	}
-	if rerr != nil {
-		if !errors.Is(rerr, flash.ErrReadFault) || !b.streams[m.stream].Approximate() {
-			return fmt.Errorf("zns: relocate read %d/%d: %w", blk, page, rerr)
-		}
-		// Approximate salvage: the page moves as accounting-only with
-		// every bit marked suspect, so reads report Degraded (loss is
-		// reported, never silent) and GC never wedges on a dying zone.
-		raw = flash.ReadResult{DataLen: m.dataLen}
+	mv, err := b.reloc.Move(op, &b.streams[m.stream], b.streams[dst].Scheme, m.dataLen, m.baseFlips)
+	if err != nil {
+		return fmt.Errorf("zns: relocate %d/%d: %w", op.Block, op.Page, err)
+	}
+	if mv.Salvaged {
 		b.salvagedPages++
 		b.salvagedBytes += int64(m.dataLen)
-		m.baseFlips += m.dataLen * 8
-		b.obs.Record(obs.Event{Kind: obs.EvSalvage, LBA: lpa, Block: blk, Page: page, Stream: int(m.stream), Aux: int64(m.dataLen)})
+		b.obs.Record(obs.Event{Kind: obs.EvSalvage, LBA: lpa, Block: op.Block, Page: op.Page, Stream: int(m.stream), Aux: int64(m.dataLen)})
 	}
-
-	var data []byte
-	baseFlips := m.baseFlips
-	if raw.Data != nil {
-		// Decode with the source scheme to repair what it can; what it
-		// cannot repair crystallizes into the new copy (the device
-		// re-encodes with the destination zone's scheme on append).
-		srcPol := &b.streams[m.stream]
-		d, _, derr := srcPol.Scheme.Decode(raw.Data)
-		if len(d) > m.dataLen {
-			d = d[:m.dataLen]
-		}
-		if derr != nil {
-			b.degradedReads++
-		}
-		data = d
-	} else {
-		baseFlips += raw.FlippedTotal
+	if mv.Degraded {
+		b.degradedReads++
 	}
-
 	// The digest is copied verbatim — never recomputed from the decoded
 	// payload — so corruption crystallized by this move stays detectable
 	// as a digest mismatch.
@@ -947,12 +889,12 @@ func (b *Backend) relocateFrom(lpa int64, dst storage.StreamID, blk, page int, r
 	// co-located across GC and demotion moves. appendCore stamps the
 	// serial once the destination zone is secured.
 	tag := flash.PageTag{LPA: lpa, Stream: uint8(dst), DataLen: int32(m.dataLen), Digest: m.digest, HasDigest: m.hasDigest, Hint: uint8(m.hint)}
-	z, idx, _, _, err := b.appendCore(dst, data, nil, -1, m.dataLen, tag, false, m.hint)
+	z, idx, _, _, err := b.appendCore(mv.Stored, mv.StoredLen, tag, false)
 	if err != nil {
 		return err
 	}
 	b.gcMoves++
-	b.install(lpa, zmapping{zone: z, idx: idx, stream: dst, dataLen: m.dataLen, baseFlips: baseFlips, digest: m.digest, hasDigest: m.hasDigest, hint: m.hint})
+	b.install(lpa, zmapping{zone: z, idx: idx, stream: dst, dataLen: m.dataLen, baseFlips: mv.BaseFlips, digest: m.digest, hasDigest: m.hasDigest, hint: m.hint})
 	return nil
 }
 

@@ -69,18 +69,15 @@ func (b *Backend) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, q
 		if op.Data != nil {
 			dataLen = len(op.Data)
 		}
-		var stored []byte
-		var storedLen int
-		if op.Data != nil {
-			stored = b.bs.stored[i]
-			storedLen = len(stored)
-		} else {
-			storedLen = b.dev.pol[b.attrs[op.Stream]].Scheme.Overhead(dataLen)
+		stored := b.bs.stored[i]
+		storedLen := len(stored)
+		if op.Data == nil {
+			storedLen = b.streams[op.Stream].Scheme.Overhead(dataLen)
 		}
 		// Serial left zero: appendCore stamps it once the destination zone
 		// is secured (GC relocations must not outrank this write).
 		tag := flash.PageTag{LPA: op.LPA, Stream: uint8(op.Stream), DataLen: int32(dataLen), Digest: op.Digest, HasDigest: op.HasDigest, Hint: uint8(op.Hint)}
-		z, idx, blk, page, err := b.appendCore(op.Stream, nil, stored, storedLen, dataLen, tag, true, op.Hint)
+		z, idx, blk, page, err := b.appendCore(stored, storedLen, tag, true)
 		if err != nil {
 			fates[i] = storage.BatchFate{Err: err, Block: -1, Page: -1}
 			continue
@@ -115,9 +112,9 @@ func (b *Backend) ensureBatchScratch(n, queues int) {
 // encodeBatch validates every op and runs the encode phase: per-queue
 // ECC encode into per-queue arenas, parallel across queues when workers
 // allow. Rejected ops get their fate set here and are skipped by the
-// append pass. Payloads encode through the zone attribute's scheme —
-// the exact bytes the device would produce — so the append can hand the
-// device a finished page.
+// append pass. Payloads encode through their stream's scheme — by name
+// the zone attribute's (NewBackend enforces it) — so the append hands
+// the device a finished page.
 func (b *Backend) encodeBatch(ops []storage.BatchOp, fates []storage.BatchFate, queues, workers int) {
 	bs := &b.bs
 	enc := bs.enc[:len(ops)]
@@ -153,7 +150,7 @@ func (b *Backend) encodeBatch(ops []storage.BatchOp, fates []storage.BatchFate, 
 			enc[i] = encSlot{n: 0}
 			continue
 		}
-		n := ecc.StoredLen(b.dev.pol[b.attrs[op.Stream]].Scheme, dataLen)
+		n := ecc.StoredLen(b.streams[op.Stream].Scheme, dataLen)
 		q := op.Queue
 		if q < 0 || q >= queues {
 			q = 0
@@ -205,8 +202,7 @@ func (b *Backend) encodeQueue(ops []storage.BatchOp, fates []storage.BatchFate, 
 			continue
 		}
 		dst := arena[bs.enc[i].off : bs.enc[i].off+bs.enc[i].n]
-		sch := b.dev.pol[b.attrs[op.Stream]].Scheme
-		n, err := encodeZoneInto(sch, dst, op.Data)
+		n, err := b.streams[op.Stream].Scheme.EncodeInto(dst, op.Data)
 		if err != nil {
 			fates[i].Err = err
 			bs.enc[i].n = -1
@@ -214,18 +210,4 @@ func (b *Backend) encodeQueue(ops []storage.BatchOp, fates []storage.BatchFate, 
 		}
 		bs.stored[i] = dst[:n]
 	}
-}
-
-// encodeZoneInto encodes into dst via the scheme's IntoEncoder when it
-// has one, falling back to the allocating path (Hamming's 8-byte
-// padding, any future scheme without in-place support).
-func encodeZoneInto(s ecc.Scheme, dst, data []byte) (int, error) {
-	if enc, ok := s.(ecc.IntoEncoder); ok {
-		return enc.EncodeInto(dst, data)
-	}
-	out, err := s.Encode(pad8For(s, data))
-	if err != nil {
-		return 0, err
-	}
-	return copy(dst, out), nil
 }

@@ -24,7 +24,6 @@ var (
 	ErrNotEmpty     = errors.New("zns: zone is not empty")
 	ErrZoneFull     = errors.New("zns: zone is full")
 	ErrOffline      = errors.New("zns: zone is offline")
-	ErrBadAddress   = errors.New("zns: address beyond write pointer")
 	ErrPayloadLarge = errors.New("zns: payload exceeds page size")
 )
 
@@ -281,155 +280,56 @@ func (d *Device) locate(zn *zone, idx int) (int, int, error) {
 	return 0, 0, ErrZoneFull
 }
 
-// Append writes one payload at the zone's write pointer and returns its
-// zone-relative page index. data may be nil with dataLen set
-// (accounting-only).
-func (d *Device) Append(z int, data []byte, dataLen int) (int, error) {
-	return d.appendPage(z, data, dataLen, nil)
-}
-
-// AppendTagged appends like Append and records OOB controller metadata
-// on the page, so a host-side FTL can rebuild its mapping tables after
-// a power loss (see Backend).
-func (d *Device) AppendTagged(z int, data []byte, dataLen int, tag flash.PageTag) (int, error) {
-	return d.appendPage(z, data, dataLen, &tag)
-}
-
-func (d *Device) appendPage(z int, data []byte, dataLen int, tag *flash.PageTag) (int, error) {
-	zn, err := d.openZone(z)
-	if err != nil {
-		return 0, err
-	}
-	if data != nil {
-		dataLen = len(data)
-	}
-	if dataLen <= 0 || dataLen > d.chip.Geometry().PageSize {
-		return 0, ErrPayloadLarge
-	}
-	pol := d.pol[zn.attr]
-	var stored []byte
-	storedLen := pol.Scheme.Overhead(dataLen)
-	if data != nil {
-		stored, err = pol.Scheme.Encode(pad8For(pol.Scheme, data))
-		if err != nil {
-			return 0, err
-		}
-		storedLen = len(stored)
-	}
-	return d.appendStored(zn, stored, storedLen, dataLen, tag)
-}
-
-// openZone returns zone z if it currently accepts appends.
-func (d *Device) openZone(z int) (*zone, error) {
+// Append programs one page at zone z's write pointer and records tag
+// in its OOB area, so a host-side FTL can rebuild its mapping tables
+// after a power loss (see Backend). The page arrives already encoded
+// through the zone attribute's scheme — the device stores codewords and
+// leaves decoding to the host's read engine. stored == nil performs an
+// accounting-only append occupying storedLen physical bytes; dataLen is
+// the logical payload length either way. Append returns the page's
+// zone-relative index and the chip (block, page) it landed on.
+func (d *Device) Append(z int, stored []byte, storedLen, dataLen int, tag flash.PageTag) (idx, blk, page int, err error) {
 	if z < 0 || z >= len(d.zones) {
-		return nil, ErrBadZone
+		return 0, 0, 0, ErrBadZone
 	}
 	zn := &d.zones[z]
 	if zn.state == ZoneOffline {
-		return nil, ErrOffline
+		return 0, 0, 0, ErrOffline
 	}
 	if zn.state != ZoneOpen {
-		return nil, ErrNotOpen
-	}
-	return zn, nil
-}
-
-// AppendTaggedStored appends a payload already encoded through the zone
-// attribute's scheme, skipping the device-side encode — the batched
-// write path encodes per submission queue up front and lands the
-// results here. stored == nil performs an accounting-only append
-// occupying storedLen physical bytes; dataLen is the logical payload
-// length either way.
-func (d *Device) AppendTaggedStored(z int, stored []byte, storedLen, dataLen int, tag flash.PageTag) (int, error) {
-	zn, err := d.openZone(z)
-	if err != nil {
-		return 0, err
+		return 0, 0, 0, ErrNotOpen
 	}
 	if dataLen <= 0 || dataLen > d.chip.Geometry().PageSize {
-		return 0, ErrPayloadLarge
+		return 0, 0, 0, ErrPayloadLarge
 	}
-	return d.appendStored(zn, stored, storedLen, dataLen, &tag)
-}
-
-// appendStored is the append tail shared by the encoding and
-// pre-encoded paths: program at the write pointer, advance it, and seal
-// the zone at capacity or on hard program failure.
-func (d *Device) appendStored(zn *zone, stored []byte, storedLen, dataLen int, tag *flash.PageTag) (int, error) {
-	b, page, err := d.locate(zn, zn.wp)
+	blk, page, err = d.locate(zn, zn.wp)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	var perr error
-	if tag != nil {
-		perr = d.chip.ProgramTagged(b, page, stored, storedLen, *tag)
-	} else {
-		perr = d.chip.Program(b, page, stored, storedLen)
-	}
-	if perr != nil {
-		if errors.Is(perr, flash.ErrProgramFail) {
+	if err := d.chip.ProgramTagged(blk, page, stored, storedLen, tag); err != nil {
+		if errors.Is(err, flash.ErrProgramFail) {
 			// Hard failure: the zone finishes early; the host moves on.
 			zn.state = ZoneFull
-			return 0, ErrZoneFull
+			return 0, 0, 0, ErrZoneFull
 		}
-		return 0, perr
+		return 0, 0, 0, err
 	}
-	idx := zn.wp
+	idx = zn.wp
 	zn.wp++
 	zn.lens = append(zn.lens, dataLen)
 	d.appends++
 	capacity := 0
-	for _, blk := range zn.blocks {
-		pages, err := d.chip.PagesIn(blk)
+	for _, b := range zn.blocks {
+		pages, err := d.chip.PagesIn(b)
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 		capacity += pages
 	}
 	if zn.wp >= capacity {
 		zn.state = ZoneFull
 	}
-	return idx, nil
-}
-
-// ReadResult is the outcome of a zone read.
-type ReadResult struct {
-	Data     []byte
-	DataLen  int
-	Degraded bool
-	RawFlips int
-}
-
-// Read fetches the payload at a zone-relative page index.
-func (d *Device) Read(z, idx int) (ReadResult, error) {
-	if z < 0 || z >= len(d.zones) {
-		return ReadResult{}, ErrBadZone
-	}
-	zn := &d.zones[z]
-	if idx < 0 || idx >= zn.wp {
-		return ReadResult{}, ErrBadAddress
-	}
-	b, page, err := d.locate(zn, idx)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	raw, err := d.chip.Read(b, page)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	pol := d.pol[zn.attr]
-	dataLen := zn.lens[idx]
-	res := ReadResult{DataLen: dataLen, RawFlips: raw.FlippedTotal}
-	if raw.Data == nil {
-		res.Degraded = !pol.Scheme.EstimateDecode(raw.FlippedTotal, dataLen)
-		return res, nil
-	}
-	data, _, derr := pol.Scheme.Decode(raw.Data)
-	if len(data) > dataLen {
-		data = data[:dataLen]
-	}
-	res.Data = data
-	res.Degraded = derr != nil
-	return res, nil
+	return idx, blk, page, nil
 }
 
 // Finish transitions an open zone to full (no more appends).
@@ -513,14 +413,4 @@ type Stats struct {
 // Stats returns cumulative counts.
 func (d *Device) Stats() Stats {
 	return Stats{Appends: d.appends, Resets: d.resets, OfflineZones: d.offline}
-}
-
-// pad8For pads data for schemes needing 8-byte alignment.
-func pad8For(s ecc.Scheme, data []byte) []byte {
-	if _, isHamming := s.(ecc.HammingScheme); isHamming && len(data)%8 != 0 {
-		padded := make([]byte, (len(data)+7)&^7)
-		copy(padded, data)
-		return padded
-	}
-	return data
 }

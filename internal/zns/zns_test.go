@@ -5,8 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/sim"
+	"sos/internal/storage"
 )
 
 func testZNS(t *testing.T, blocks, perZone int) (*Device, *sim.Clock) {
@@ -59,7 +61,7 @@ func TestZoneLifecycle(t *testing.T) {
 		t.Fatalf("fresh zone state %v", info.State)
 	}
 	// Append before open is rejected.
-	if _, err := d.Append(0, []byte("x"), 0); !errors.Is(err, ErrNotOpen) {
+	if _, _, _, err := d.Append(0, nil, 1, 1, flash.PageTag{}); !errors.Is(err, ErrNotOpen) {
 		t.Fatalf("append on empty: %v", err)
 	}
 	if err := d.Open(0, Durable); err != nil {
@@ -78,7 +80,7 @@ func TestZoneLifecycle(t *testing.T) {
 	if err := d.Finish(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Append(0, []byte("x"), 0); !errors.Is(err, ErrNotOpen) {
+	if _, _, _, err := d.Append(0, nil, 1, 1, flash.PageTag{}); !errors.Is(err, ErrNotOpen) {
 		t.Fatal("append on full zone accepted")
 	}
 	if err := d.Reset(0); err != nil {
@@ -90,37 +92,48 @@ func TestZoneLifecycle(t *testing.T) {
 	}
 }
 
+// TestAppendReadRoundtrip pins the pre-encoded append contract: the
+// device stores exactly the codeword and tag it is handed at the chip
+// address Append reports, and the host decodes it back to the payload.
 func TestAppendReadRoundtrip(t *testing.T) {
 	d, _ := testZNS(t, 8, 1)
 	if err := d.Open(1, Durable); err != nil {
 		t.Fatal(err)
 	}
+	scheme := d.pol[Durable].Scheme
 	payloads := [][]byte{
 		[]byte("first"), []byte("second-longer-payload"), bytes.Repeat([]byte{0x5a}, 512),
 	}
-	var idxs []int
-	for _, p := range payloads {
-		idx, err := d.Append(1, p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idxs = append(idxs, idx)
-	}
-	if idxs[0] != 0 || idxs[1] != 1 || idxs[2] != 2 {
-		t.Fatalf("append indices %v", idxs)
-	}
 	for i, p := range payloads {
-		res, err := d.Read(1, idxs[i])
+		stored, err := scheme.Encode(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(res.Data, p) {
-			t.Fatalf("payload %d mismatch", i)
+		tag := flash.PageTag{LPA: int64(100 + i), DataLen: int32(len(p)), Serial: uint64(i + 1)}
+		idx, blk, page, err := d.Append(1, stored, len(stored), len(p), tag)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Reads beyond the WP are invalid.
-	if _, err := d.Read(1, 3); !errors.Is(err, ErrBadAddress) {
-		t.Fatalf("read past WP: %v", err)
+		if idx != i || blk != 1 || page != i {
+			t.Fatalf("append %d landed at index %d, chip %d/%d", i, idx, blk, page)
+		}
+		raw, err := d.chip.Read(blk, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.Data) != len(stored) {
+			t.Fatalf("payload %d stored as %d bytes, want %d", i, len(raw.Data), len(stored))
+		}
+		data, _, err := ecc.DecodeStored(scheme, raw.Data)
+		if err != nil || !bytes.Equal(data, p) {
+			t.Fatalf("payload %d mismatch (%v)", i, err)
+		}
+		if got, ok, err := d.chip.Tag(blk, page); err != nil || !ok || got != tag {
+			t.Fatalf("payload %d tag %+v (%v, %v), want %+v", i, got, ok, err, tag)
+		}
+		if d.zones[1].lens[idx] != len(p) {
+			t.Fatalf("payload %d recorded length %d", i, d.zones[1].lens[idx])
+		}
 	}
 }
 
@@ -130,9 +143,8 @@ func TestZoneFillsToCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Native PLC: 10 pages.
-	data := make([]byte, 100)
 	for i := 0; i < 10; i++ {
-		if _, err := d.Append(0, data, 0); err != nil {
+		if _, _, _, err := d.Append(0, nil, 104, 100, flash.PageTag{}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -140,14 +152,26 @@ func TestZoneFillsToCapacity(t *testing.T) {
 	if info.State != ZoneFull {
 		t.Fatalf("state after fill: %v", info.State)
 	}
-	if _, err := d.Append(0, data, 0); !errors.Is(err, ErrNotOpen) && !errors.Is(err, ErrZoneFull) {
+	if _, _, _, err := d.Append(0, nil, 104, 100, flash.PageTag{}); !errors.Is(err, ErrNotOpen) && !errors.Is(err, ErrZoneFull) {
 		t.Fatalf("append on full: %v", err)
 	}
 }
 
+// TestAttrGovernsDegradation checks that a zone's attribute sets its
+// page's fate: on worn PLC aged three years, a SYS page in a durable
+// zone reads back clean and intact under Reed–Solomon, while a SPARE
+// page in an approximate zone reads back degraded.
 func TestAttrGovernsDegradation(t *testing.T) {
-	d, clock := testZNS(t, 8, 1)
-	chip := chipOf(d)
+	clock := &sim.Clock{}
+	chip, err := flash.NewChip(flash.ChipConfig{
+		Geometry: flash.Geometry{PageSize: 512, Spare: 128, PagesPerBlock: 10, Blocks: 8},
+		Tech:     flash.PLC,
+		Clock:    clock,
+		Seed:     51,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Pre-wear all blocks close to PLC rating.
 	for b := 0; b < chip.Blocks(); b++ {
 		for i := 0; i < 350; i++ {
@@ -156,25 +180,20 @@ func TestAttrGovernsDegradation(t *testing.T) {
 			}
 		}
 	}
-	if err := d.Open(0, Durable); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Open(1, Approximate); err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0xcc}, 512)
-	if _, err := d.Append(0, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Append(1, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(3 * sim.Year)
-	durable, err := d.Read(0, 0)
+	b, err := NewBackend(BackendConfig{Chip: chip, Streams: testStreams(t), BlocksPerZone: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := d.Read(1, 0)
+	payload := bytes.Repeat([]byte{0xcc}, 512)
+	const sys, spare = storage.StreamID(0), storage.StreamID(1)
+	if err := b.Write(0, payload, 0, sys); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Write(1, payload, 0, spare); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(3 * sim.Year)
+	durable, err := b.Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +202,10 @@ func TestAttrGovernsDegradation(t *testing.T) {
 	}
 	if !bytes.Equal(durable.Data, payload) {
 		t.Fatal("durable zone corrupted")
+	}
+	approx, err := b.Read(1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !approx.Degraded {
 		t.Fatal("approximate zone aged 3y on worn PLC read back clean")
@@ -203,7 +226,7 @@ func TestResetWearOfflinesZone(t *testing.T) {
 	if err := d.Open(0, Approximate); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Append(0, []byte("x"), 0); err != nil {
+	if _, _, _, err := d.Append(0, nil, 5, 1, flash.PageTag{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Reset(0); err != nil {
@@ -223,45 +246,55 @@ func TestResetWearOfflinesZone(t *testing.T) {
 
 func TestHostSideGCPattern(t *testing.T) {
 	// The host-owned reclamation loop the zoned interface implies:
-	// copy live data from a victim zone into a fresh zone, then reset
+	// copy live pages from a victim zone into a fresh zone, then reset
 	// the victim.
 	d, _ := testZNS(t, 6, 1)
 	if err := d.Open(0, Approximate); err != nil {
 		t.Fatal(err)
 	}
+	scheme := d.pol[Approximate].Scheme
 	var live [][]byte
 	for i := 0; i < 10; i++ {
 		p := bytes.Repeat([]byte{byte(i)}, 64)
-		if _, err := d.Append(0, p, 0); err != nil {
+		stored, err := scheme.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := d.Append(0, stored, len(stored), len(p), flash.PageTag{}); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 { // host considers even payloads live
 			live = append(live, p)
 		}
 	}
-	// Relocate live payloads to zone 1.
+	// Relocate live pages to zone 1 as stored: both zones share the
+	// approximate scheme.
 	if err := d.Open(1, Approximate); err != nil {
 		t.Fatal(err)
 	}
+	var moved []int
 	for i := 0; i < 10; i += 2 {
-		res, err := d.Read(0, i)
+		raw, err := d.chip.Read(0, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Append(1, res.Data, 0); err != nil {
+		_, blk, page, err := d.Append(1, raw.Data, len(raw.Data), d.zones[0].lens[i], flash.PageTag{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		moved = append(moved, blk, page)
 	}
 	if err := d.Reset(0); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range live {
-		res, err := d.Read(1, i)
+		raw, err := d.chip.Read(moved[2*i], moved[2*i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(res.Data, want) {
-			t.Fatalf("live payload %d lost in host GC", i)
+		data, _, err := scheme.Decode(raw.Data)
+		if err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("live payload %d lost in host GC (%v)", i, err)
 		}
 	}
 	if d.Stats().Resets != 1 {
@@ -274,21 +307,21 @@ func TestAccountingAppend(t *testing.T) {
 	if err := d.Open(0, Approximate); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := d.Append(0, nil, 300)
+	idx, blk, page, err := d.Append(0, nil, 304, 300, flash.PageTag{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Read(0, idx)
+	raw, err := d.chip.Read(blk, page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Data != nil || res.DataLen != 300 {
-		t.Fatalf("accounting read: %+v", res)
+	if raw.Data != nil || raw.DataLen != 304 || d.zones[0].lens[idx] != 300 {
+		t.Fatalf("accounting page: %+v, recorded length %d", raw, d.zones[0].lens[idx])
 	}
-	if _, err := d.Append(0, nil, 0); !errors.Is(err, ErrPayloadLarge) {
+	if _, _, _, err := d.Append(0, nil, 4, 0, flash.PageTag{}); !errors.Is(err, ErrPayloadLarge) {
 		t.Fatalf("zero-length append: %v", err)
 	}
-	if _, err := d.Append(0, nil, 513); !errors.Is(err, ErrPayloadLarge) {
+	if _, _, _, err := d.Append(0, nil, 517, 513, flash.PageTag{}); !errors.Is(err, ErrPayloadLarge) {
 		t.Fatalf("oversize append: %v", err)
 	}
 }
@@ -301,11 +334,8 @@ func TestBadZoneIDs(t *testing.T) {
 	if err := d.Open(-1, Durable); !errors.Is(err, ErrBadZone) {
 		t.Fatal("bad open id")
 	}
-	if _, err := d.Append(99, []byte("x"), 0); !errors.Is(err, ErrBadZone) {
+	if _, _, _, err := d.Append(99, nil, 5, 1, flash.PageTag{}); !errors.Is(err, ErrBadZone) {
 		t.Fatal("bad append id")
-	}
-	if _, err := d.Read(99, 0); !errors.Is(err, ErrBadZone) {
-		t.Fatal("bad read id")
 	}
 	if err := d.Reset(99); !errors.Is(err, ErrBadZone) {
 		t.Fatal("bad reset id")
@@ -317,19 +347,26 @@ func TestBadZoneIDs(t *testing.T) {
 
 // TestZoneStateMachineRandom drives random operations across zones and
 // checks that every response is consistent with the zone's state:
-// appends succeed only on open zones with room, reads only below the
-// write pointer, and offline zones refuse everything but Info.
+// appends succeed only on open zones with room, and offline zones
+// refuse everything but Info.
 func TestZoneStateMachineRandom(t *testing.T) {
 	d, _ := testZNS(t, 12, 1)
 	rng := sim.NewRNG(314)
-	payload := make([]byte, 64)
+	// One 64-byte payload, pre-encoded per zone attribute.
+	var stored [2][]byte
+	for _, a := range []Attr{Durable, Approximate} {
+		var err error
+		if stored[a], err = d.pol[a].Scheme.Encode(make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for op := 0; op < 20000; op++ {
 		z := rng.Intn(d.Zones())
 		info, err := d.Info(z)
 		if err != nil {
 			t.Fatalf("op %d: info: %v", op, err)
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0: // open
 			err := d.Open(z, Attr(rng.Intn(2)))
 			switch info.State {
@@ -347,7 +384,8 @@ func TestZoneStateMachineRandom(t *testing.T) {
 				}
 			}
 		case 1: // append
-			_, err := d.Append(z, payload, 0)
+			p := stored[info.Attr]
+			_, _, _, err := d.Append(z, p, len(p), 64, flash.PageTag{})
 			switch {
 			case info.State == ZoneOpen && info.WP < info.Capacity:
 				// May legitimately fail only via hard program failure
@@ -364,18 +402,7 @@ func TestZoneStateMachineRandom(t *testing.T) {
 					t.Fatalf("op %d: append on %v zone succeeded", op, info.State)
 				}
 			}
-		case 2: // read
-			if info.WP == 0 {
-				if _, err := d.Read(z, 0); err == nil {
-					t.Fatalf("op %d: read empty zone", op)
-				}
-				continue
-			}
-			idx := rng.Intn(info.WP)
-			if _, err := d.Read(z, idx); err != nil {
-				t.Fatalf("op %d: read below WP: %v", op, err)
-			}
-		case 3: // reset
+		case 2: // reset
 			err := d.Reset(z)
 			if info.State == ZoneOffline {
 				if !errors.Is(err, ErrOffline) {
