@@ -36,12 +36,13 @@ torture:
 	go test -race -parallel 8 ./internal/torture/
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target —
-# Reed-Solomon decode, then the Hamming scheme — beyond the committed
-# seed corpora (which plain go test replays). go test takes one -fuzz
-# target per call.
+# Reed-Solomon decode, the Hamming scheme, then the backend reference
+# model — beyond the committed seed corpora (which plain go test
+# replays). go test takes one -fuzz target per call.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRSDecodeInPlace$$' -fuzztime 10s ./internal/ecc
 	go test -run '^$$' -fuzz '^FuzzHammingScheme$$' -fuzztime 10s ./internal/ecc
+	go test -run '^$$' -fuzz '^FuzzBackendModel$$' -fuzztime 10s ./internal/device
 
 verify-all: verify verify-race torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement
 
