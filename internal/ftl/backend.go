@@ -11,12 +11,6 @@ var _ storage.Backend = (*FTL)(nil)
 // Name identifies the backend kind for telemetry and the -backend flag.
 func (f *FTL) Name() string { return "ftl" }
 
-// SetCapacityCallback installs the capacity-variance callback
-// (equivalent to assigning OnCapacityChange directly).
-func (f *FTL) SetCapacityCallback(fn func(usablePages int)) {
-	f.OnCapacityChange = fn
-}
-
 // Recover implements storage.Backend: it remounts a fresh FTL with the
 // receiver's configuration over the receiver's medium and rebuilds the
 // mapping tables from OOB tags. The receiver itself is the crashed

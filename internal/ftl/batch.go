@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/obs"
 	"sos/internal/storage"
@@ -17,6 +16,7 @@ import (
 // result:
 //
 //	phase A — validate: reject malformed ops, size their codewords
+//	                    (storage.ValidateBatch, shared with zns)
 //	phase B — place:    one serial pass in canonical order reserves
 //	                    (block, page) slots and write serials — all
 //	                    allocation-policy state advances here
@@ -87,7 +87,7 @@ type batchScratch struct {
 // across and workers bounds goroutine use. Results are identical for
 // every (queues, workers) pair.
 func (f *FTL) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, queues, workers int) {
-	defer f.flushCapacity()
+	defer f.FlushCapacity()
 	f.writeBatch(ops, fates, queues, workers)
 }
 
@@ -105,7 +105,7 @@ func (f *FTL) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, queue
 	}
 	f.ensureBatchScratch(len(ops), f.chip.Planes())
 
-	f.validateBatch(ops, fates)
+	storage.ValidateBatch(ops, fates, f.streams, f.logicalSz, f.bs.encN[:len(ops)])
 
 	for i := 0; i < len(ops); {
 		placed := f.placeRun(ops, fates, i)
@@ -113,7 +113,7 @@ func (f *FTL) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, queue
 			// Head op needs the slow path (GC, static WL, pressure
 			// allocation); no placements are pending here, so every
 			// reclamation hazard is exactly as in a one-op write.
-			b, p, err := f.writeOne(&ops[i], maxProgramAttempts)
+			b, p, err := f.writeOne(&ops[i], storage.MaxProgramAttempts)
 			fates[i] = storage.BatchFate{Err: err, Block: b, Page: p}
 			i++
 			continue
@@ -153,51 +153,6 @@ func (f *FTL) ensureBatchScratch(n, planes int) {
 	if bs.pending == nil {
 		bs.pending = make(map[int64]struct{}, 64)
 	}
-	if len(f.pendingProgs) < len(f.blocks) {
-		f.pendingProgs = make([]int32, len(f.blocks))
-	}
-}
-
-// hasPending reports whether block b has unsettled batch placements.
-func (f *FTL) hasPending(b int) bool {
-	return f.pendingCnt > 0 && f.pendingProgs[b] > 0
-}
-
-// validateBatch is phase A: reject malformed ops (their fates are final
-// here) and record each accepted op's codeword size in encN — 0 for
-// accounting-only ops, -1 for rejects.
-func (f *FTL) validateBatch(ops []storage.BatchOp, fates []storage.BatchFate) {
-	bs := &f.bs
-	encN := bs.encN[:len(ops)]
-	for i := range ops {
-		op := &ops[i]
-		fates[i] = storage.BatchFate{Block: -1, Page: -1}
-		pol, err := f.policy(op.Stream)
-		if err != nil {
-			fates[i].Err = err
-			encN[i] = -1
-			continue
-		}
-		if op.LPA < 0 {
-			fates[i].Err = ErrBadLPA
-			encN[i] = -1
-			continue
-		}
-		dataLen := op.DataLen
-		if op.Data != nil {
-			dataLen = len(op.Data)
-		}
-		if dataLen <= 0 || dataLen > f.logicalSz {
-			fates[i].Err = ErrPayloadSize
-			encN[i] = -1
-			continue
-		}
-		if op.Data == nil {
-			encN[i] = 0
-			continue
-		}
-		encN[i] = ecc.StoredLen(pol.Scheme, dataLen)
-	}
 }
 
 // placeRun is phase B: starting at ops[start], reserve placements for
@@ -229,15 +184,15 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 			break
 		}
 		id := op.Stream
-		slot := aidx(id, op.Hint)
-		b := f.active[slot]
+		slot := storage.ActiveSlot(id, op.Hint)
+		b := f.Active[slot]
 		if b >= 0 {
 			pages, err := f.chip.PagesIn(b)
 			if err != nil {
 				break // let the slow path surface chip errors
 			}
-			if f.blocks[b].fullPages >= pages {
-				f.active[slot] = -1
+			if f.Units[b].Programmed >= pages {
+				f.Active[slot] = -1
 				b = -1
 			}
 		}
@@ -255,20 +210,16 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 			if err != nil {
 				break
 			}
-			f.active[slot] = nb
+			f.Active[slot] = nb
 			b = nb
 		}
-		st := &f.blocks[b]
-		page := st.fullPages
-		st.fullPages++
-		st.valid++ // optimistic; settle undoes it on failure
-		f.pendingProgs[b]++
-		f.pendingCnt++
+		u := &f.Units[b]
+		page := u.Programmed
+		u.Programmed++
+		u.Live++ // optimistic; settle undoes it on failure
+		u.Pending++
 		f.writeSerial++
-		dataLen := op.DataLen
-		if op.Data != nil {
-			dataLen = len(op.Data)
-		}
+		dataLen := op.PayloadLen()
 		d := batchDesc{
 			opIdx: idx, lpa: op.LPA, stream: id, dataLen: dataLen,
 			block: b, page: page, serial: f.writeSerial, runPos: -1,
@@ -519,34 +470,35 @@ func (f *FTL) execPlane(p int, idxs []int32) {
 // successes, reservation rollback plus a slow-path retry for program
 // failures. Pending counts drop one descriptor at a time, so a retry's
 // GC can never touch a block that still has unsettled placements. A
-// retry gets what is left of the op's maxProgramAttempts budget.
+// retry gets what is left of the op's storage.MaxProgramAttempts
+// budget.
 func (f *FTL) settleDescs(ops []storage.BatchOp, fates []storage.BatchFate) {
 	bs := &f.bs
 	for di := range bs.descs {
 		d := &bs.descs[di]
-		f.pendingProgs[d.block]--
-		f.pendingCnt--
+		u := &f.Units[d.block]
+		u.Pending--
 		if d.err == nil {
-			f.hostWrites++
-			f.flashPrograms++
+			f.HostWrites++
+			f.FlashPrograms++
 			if d.hint != storage.HintNone {
-				f.hintedWrites++
+				f.Hinted++
 			}
 			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: d.lpa, Block: d.block, Page: d.page, Stream: int(d.stream), Aux: int64(d.dataLen)})
-			if old, ok := f.lookup(d.lpa); ok {
-				f.invalidate(old.ppa)
+			if old, ok := f.Lookup(d.lpa); ok {
+				f.invalidate(old)
 			}
-			f.setMapping(d.lpa, mapping{ppa: PPA{Block: d.block, Page: d.page}, stream: d.stream, dataLen: d.dataLen, digest: d.digest, hasDigest: d.hasDigest, hint: d.hint})
+			f.SetMapping(d.lpa, storage.Mapping{Unit: d.block, Index: d.page, Stream: d.stream, DataLen: d.dataLen, Digest: d.digest, HasDigest: d.hasDigest, Hint: d.hint})
 			fates[d.opIdx] = storage.BatchFate{Block: d.block, Page: d.page}
 			continue
 		}
 		// Roll back the optimistic reservation.
-		f.blocks[d.block].valid--
+		u.Live--
 		if !errors.Is(d.err, flash.ErrProgramFail) {
 			fates[d.opIdx] = storage.BatchFate{Err: d.err, Block: -1, Page: -1}
 			continue
 		}
-		attempts := maxProgramAttempts
+		attempts := storage.MaxProgramAttempts
 		if !d.skipped {
 			// First failure on this block: seal it (freezing its page
 			// cursor at the chip's) and count the wear event, exactly as

@@ -55,8 +55,8 @@ func TestWriteBatchZeroAlloc(t *testing.T) {
 		}
 	}
 	for b := range scratchBlocks {
-		if f.blocks[b].valid == 0 && f.active[0] != b {
-			if err := f.reclaim(b); err != nil {
+		if f.Units[b].Live == 0 && f.Active[0] != b {
+			if err := f.Reclaim(b); err != nil {
 				t.Fatalf("reclaim scratch block %d: %v", b, err)
 			}
 		}

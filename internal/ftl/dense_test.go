@@ -81,8 +81,8 @@ func TestDenseL2PGrowthSparseLPA(t *testing.T) {
 	if err := f.Write(far, data, 0, 0); err != nil {
 		t.Fatalf("sparse write at lpa %d: %v", far, err)
 	}
-	if int64(len(f.l2p)) <= far {
-		t.Fatalf("l2p did not grow: len %d for lpa %d", len(f.l2p), far)
+	if int64(len(f.L2P)) <= far {
+		t.Fatalf("l2p did not grow: len %d for lpa %d", len(f.L2P), far)
 	}
 	for _, lpa := range []int64{0, far} {
 		if _, err := f.Read(lpa); err != nil {
@@ -121,7 +121,7 @@ func TestDenseP2LInvalidationOnQuarantine(t *testing.T) {
 	if err := f.Quarantine(ppa.Block); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.reclaim(ppa.Block); err != nil {
+	if err := f.Reclaim(ppa.Block); err != nil {
 		t.Fatal(err)
 	}
 	if !f.blocks[ppa.Block].retired {
@@ -129,7 +129,7 @@ func TestDenseP2LInvalidationOnQuarantine(t *testing.T) {
 	}
 	base := ppa.Block * f.ppb
 	for page := 0; page < f.ppb; page++ {
-		if got := f.p2l[base+page]; got != -1 {
+		if got := f.P2L[base+page]; got != -1 {
 			t.Fatalf("retired block %d page %d still maps lpa %d", ppa.Block, page, got)
 		}
 	}
@@ -214,28 +214,28 @@ func TestRecoverDenseTablesMatchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	nf := rb.(*FTL)
-	if nf.mapped != f.mapped {
-		t.Fatalf("recovered %d mappings, golden has %d", nf.mapped, f.mapped)
+	if nf.MappedPages() != f.MappedPages() {
+		t.Fatalf("recovered %d mappings, golden has %d", nf.MappedPages(), f.MappedPages())
 	}
 	// Forward table: identical entries over the union of both lengths.
-	max := int64(len(f.l2p))
-	if int64(len(nf.l2p)) > max {
-		max = int64(len(nf.l2p))
+	max := int64(len(f.L2P))
+	if int64(len(nf.L2P)) > max {
+		max = int64(len(nf.L2P))
 	}
 	for lpa := int64(0); lpa < max; lpa++ {
-		gm, gok := f.lookup(lpa)
-		rm, rok := nf.lookup(lpa)
+		gm, gok := f.Lookup(lpa)
+		rm, rok := nf.Lookup(lpa)
 		if gok != rok || gm != rm {
 			t.Fatalf("lpa %d: golden %+v(%v), recovered %+v(%v)", lpa, gm, gok, rm, rok)
 		}
 	}
 	// Reverse table: same physical slots live, pointing at the same LPAs.
-	if len(nf.p2l) != len(f.p2l) {
-		t.Fatalf("p2l length %d, golden %d", len(nf.p2l), len(f.p2l))
+	if len(nf.P2L) != len(f.P2L) {
+		t.Fatalf("p2l length %d, golden %d", len(nf.P2L), len(f.P2L))
 	}
-	for i := range f.p2l {
-		if f.p2l[i] != nf.p2l[i] {
-			t.Fatalf("p2l[%d]: golden %d, recovered %d", i, f.p2l[i], nf.p2l[i])
+	for i := range f.P2L {
+		if f.P2L[i] != nf.P2L[i] {
+			t.Fatalf("p2l[%d]: golden %d, recovered %d", i, f.P2L[i], nf.P2L[i])
 		}
 	}
 	if err := CheckInvariants(nf); err != nil {

@@ -10,12 +10,12 @@ func (f *FTL) DumpBlocks() []string {
 		free[b] = true
 	}
 	var out []string
-	for b := range f.blocks {
-		st := &f.blocks[b]
+	for b := range f.Units {
+		u := &f.Units[b]
 		pages, _ := f.chip.PagesIn(b)
 		out = append(out, fmt.Sprintf(
 			"b%02d owner=%d alloc=%v free=%v active=%v pages=%d full=%d valid=%d stale=%d retired=%v",
-			b, st.owner, st.allocated, free[b], f.isActive(b), pages, st.fullPages, st.valid, st.stale, st.retired))
+			b, u.Owner, u.InUse, free[b], f.IsActive(b), pages, u.Programmed, u.Live, u.Stale, f.blocks[b].retired))
 	}
 	return out
 }

@@ -181,7 +181,7 @@ func TestProgramFailurePreservesOldData(t *testing.T) {
 }
 
 // TestProgramRetryBudget pins the write retry budget: an op whose
-// programs keep failing gets exactly maxProgramAttempts programs in
+// programs keep failing gets exactly storage.MaxProgramAttempts programs in
 // total — its batched program plus slow-path retries — before
 // ErrProgramFail reaches the host, whether it is a per-op Write, a
 // one-op batch, or one op of many in a batch.
@@ -194,7 +194,7 @@ func TestProgramRetryBudget(t *testing.T) {
 				t.Errorf("op %d: err = %v, want ErrProgramFail", i, err)
 			}
 		}
-		if got, want := inj.Ops(), int64(maxProgramAttempts*len(errs)); got != want {
+		if got, want := inj.Ops(), int64(storage.MaxProgramAttempts*len(errs)); got != want {
 			t.Errorf("%d program ops for %d failing writes, want %d", got, len(errs), want)
 		}
 		if f.Contains(1) {
@@ -205,7 +205,7 @@ func TestProgramRetryBudget(t *testing.T) {
 		}
 	}
 	window := func(n int) fault.Plan {
-		return fault.Plan{ProgramFailWindow: fault.Window{From: 1, To: int64(1 + maxProgramAttempts*n)}}
+		return fault.Plan{ProgramFailWindow: fault.Window{From: 1, To: int64(1 + storage.MaxProgramAttempts*n)}}
 	}
 	t.Run("per-op", func(t *testing.T) {
 		_, inj, _, f := crashStack(t, window(1))

@@ -59,78 +59,38 @@ const (
 // half the end-of-life threshold.
 const DefaultRetireRBER = storage.DefaultRetireRBER
 
-// blockState tracks FTL-side per-block bookkeeping.
+// blockState is the per-block bookkeeping only the FTL keeps; the rest
+// of a block's state is its storage.Unit.
 type blockState struct {
-	owner     StreamID             // valid when allocated
-	hint      storage.LifetimeHint // lifetime bin the block collects (valid when allocated)
-	allocated bool
-	valid     int // live pages
-	stale     int // superseded pages
-	fullPages int // pages programmed so far
 	retired   bool
 	resuscIdx int // next index into the owner's Resuscitate ladder
-	// progFailed marks a block whose program status failed: no further
-	// programs; GC drains it with priority and it retires at erase.
-	progFailed bool
-	// parks counts consecutive GC victim deferrals (dead-data-aware GC
-	// waiting for predicted-dead pages to actually die); capped so a
-	// wrong prediction cannot stall reclamation forever.
-	parks uint8
-}
-
-// mapping is the L2P entry.
-type mapping struct {
-	ppa     PPA
-	stream  StreamID
-	dataLen int // logical payload length
-	// baseFlips carries degradation accumulated before the page's last
-	// relocation (accounting-only pages; payload pages carry corruption
-	// in the bytes themselves).
-	baseFlips int
-	// digest mirrors the page's OOB tag digest (storage.Backend.Digest) so
-	// verification and relocation read it without a chip op. Relocation
-	// copies it verbatim: it always hashes the original host payload.
-	digest    uint64
-	hasDigest bool
-	// hint mirrors the page's OOB lifetime bin (storage.Backend.Hint) so
-	// dead-data-aware GC scans it without a chip op. Relocation carries
-	// it verbatim: relocated data keeps its predicted deathtime.
-	hint storage.LifetimeHint
 }
 
 // FTL is the translation layer over a single chip (or any Flash, e.g. a
 // fault-injection interposer).
+//
+// Its storage.Reclaimer holds one Unit per block and the dense mapping
+// tables: L2P indexed directly by LPA (the logical address space is
+// dense and non-negative: the fs hands out LBAs sequentially), P2L by
+// block*ppb+page, sized once from the geometry (native mode has the
+// most pages per block). Its Active slots hold the partially programmed
+// block per (stream, lifetime bin); the HintNone column is the pre-hint
+// behavior: unhinted writes see exactly one active block per stream, as
+// they always did. A Unit's Condemned flag marks a block whose
+// program status failed or that was quarantined: no further programs,
+// GC drains it with priority, and it retires at erase. Its Pending count
+// holds batch placements reserved (page cursor advanced, descriptor
+// issued) but not yet settled, which reclamation — sweeps, victim
+// choice, static wear leveling — must not touch: GC relocations would
+// program at stale cursors and static WL would move pages that are not
+// programmed yet (see batch.go).
 type FTL struct {
+	storage.Reclaimer
+
 	chip    Flash
 	streams []StreamPolicy
 	obs     *obs.Recorder // nil disables tracing
-
-	// Dense mapping tables — the hot-path replacement for hash maps.
-	// l2p is indexed directly by LPA (the logical address space is dense
-	// and non-negative: the fs hands out LBAs sequentially) and grows on
-	// demand with amortized doubling; an entry with dataLen == 0 is
-	// unmapped (live mappings always carry dataLen >= 1). p2l is indexed
-	// by block*ppb+page, sized once from the geometry (native mode has
-	// the most pages per block); -1 means no live logical page. mapped
-	// counts live entries.
-	l2p    []mapping
-	p2l    []int64
-	ppb    int // native pages per block: the p2l row stride
-	mapped int
-
-	// scrubDirty is reusable scratch for Scrub's touched-block set, so a
-	// scrub pass allocates no per-call map.
-	scrubDirty []bool
-
-	// pendingProgs counts batch placements per block that have been
-	// reserved (page cursor advanced, descriptor issued) but not yet
-	// settled. Reclamation — victim selection, dead-block sweeps, static
-	// wear leveling — must not touch a block with pending placements:
-	// GC relocations would program at stale cursors and static WL would
-	// move pages that are not programmed yet. pendingCnt is the total,
-	// for a cheap all-clear test. See batch.go.
-	pendingProgs []int32
-	pendingCnt   int
+	ppb     int           // native pages per block: the P2L row stride
 
 	// bs is the batched-write scratch; every slice and map in it is
 	// reused across WriteBatch calls so steady-state batches allocate
@@ -145,57 +105,23 @@ type FTL struct {
 	w1fate [1]storage.BatchFate
 	r1op   [1]storage.BatchReadOp
 	r1fate [1]storage.BatchReadFate
-	// reloc is the relocation scratch (GC, scrub, reclassification);
-	// wenc is writeOne's encode buffer. They are separate because
-	// writeOne's program may run GC, which relocates.
-	reloc storage.Relocation
-	wenc  []byte
+	// wenc is writeOne's encode buffer, apart from the Reclaimer's
+	// relocation scratch because writeOne's program may run GC, which
+	// relocates.
+	wenc []byte
 
-	blocks   []blockState
-	freePool []int // erased, unallocated block ids
-	// active holds the active (partially programmed) block per
-	// (stream, lifetime bin) slot, indexed by aidx; -1 means none. The
-	// HintNone column is the pre-hint behavior: unhinted writes see
-	// exactly one active block per stream, as they always did.
-	active    []int
-	gcLow     int // free-pool low-water mark triggering GC
-	reserve   int // blocks permanently held back (over-provisioning)
-	logicalSz int // logical payload bytes per page
+	blocks    []blockState
+	freePool  []int // erased, unallocated block ids
+	gcLow     int   // free-pool low-water mark triggering GC
+	reserve   int   // blocks permanently held back (over-provisioning)
+	logicalSz int   // logical payload bytes per page
 
-	// gcSkip marks blocks the current GC pass deferred (dead-data-aware
-	// victim parking) so re-picks exclude them; gcSkipped lists the
-	// marked blocks for O(parked) clearing. Both are reusable scratch —
-	// see runGC.
-	gcSkip    []bool
-	gcSkipped []int
-
-	// Telemetry.
-	hostWrites    int64 // host-initiated page writes
-	flashPrograms int64 // total page programs incl. GC
-	gcRuns        int64
-	gcMoves       int64
+	// FTL-only telemetry; the shared counters live in the Reclaimer.
 	retiredCnt    int64
 	resuscCnt     int64
-	degradedReads int64  // reads whose ECC failed (returned degraded data)
-	progFailures  int64  // program-status failures absorbed
 	staticWLMoves int64  // static wear-leveling relocations
-	relocRetries  int64  // transient read faults retried during relocation
-	salvagedPages int64  // pages relocated with unreadable payload (SPARE salvage)
-	salvagedBytes int64  // logical bytes crystallized as lost by salvage
 	allocsSinceWL int    // rate limiter for static WL checks
 	writeSerial   uint64 // monotone OOB serial for rebuilds
-	// Dead-data-aware GC telemetry (backend-local: storage.Stats is
-	// golden-coupled and must not grow fields).
-	hintedWrites   int64 // writes carrying a non-None lifetime hint
-	deadSkipDefers int64 // GC victims parked awaiting predicted deaths
-	deadSkipPages  int64 // live predicted-dead pages whose relocation was deferred
-
-	// OnCapacityChange, when set, fires after retirement,
-	// resuscitation, or an allocation-time mode switch changes the
-	// usable page count. Delivery is deferred to the end of the public
-	// operation that caused it.
-	OnCapacityChange func(usablePages int)
-	capDirty         bool
 
 	// origCfg is the configuration New was called with, kept so
 	// Recover can remount an identical FTL over the surviving medium.
@@ -278,22 +204,18 @@ func New(cfg Config) (*FTL, error) {
 		chip:      cfg.Chip,
 		streams:   cfg.Streams,
 		obs:       cfg.Obs,
-		p2l:       make([]int64, cfg.Chip.Blocks()*geo.PagesPerBlock),
 		ppb:       geo.PagesPerBlock,
 		blocks:    make([]blockState, cfg.Chip.Blocks()),
-		active:    make([]int, len(cfg.Streams)*storage.NumLifetimeHints),
-		gcSkip:    make([]bool, cfg.Chip.Blocks()),
 		gcLow:     low,
 		reserve:   reserve,
 		logicalSz: geo.PageSize,
 		origCfg:   cfg,
 	}
-	for i := range f.p2l {
-		f.p2l[i] = -1
-	}
-	for i := range f.active {
-		f.active[i] = -1
-	}
+	f.Init(storage.ReclaimConfig{
+		Name: "ftl", Chip: cfg.Chip, Streams: cfg.Streams, Obs: cfg.Obs, Ops: unitOps{f},
+		Units: cfg.Chip.Blocks(), Stride: geo.PagesPerBlock, BlocksPerUnit: 1,
+		LowWater: low, Reserve: reserve,
+	})
 	for b := 0; b < cfg.Chip.Blocks(); b++ {
 		f.freePool = append(f.freePool, b)
 	}
@@ -308,64 +230,6 @@ func (f *FTL) Streams() []StreamPolicy { return f.streams }
 
 // Chip exposes the underlying medium (telemetry, experiments).
 func (f *FTL) Chip() Flash { return f.chip }
-
-// policy returns the policy for id, or an error.
-func (f *FTL) policy(id StreamID) (*StreamPolicy, error) {
-	if id < 0 || int(id) >= len(f.streams) {
-		return nil, ErrUnknownStream
-	}
-	return &f.streams[id], nil
-}
-
-// pidx converts a physical page address to its p2l table index.
-func (f *FTL) pidx(ppa PPA) int { return ppa.Block*f.ppb + ppa.Page }
-
-// lookup returns the live mapping for lpa, if any.
-func (f *FTL) lookup(lpa int64) (mapping, bool) {
-	if lpa < 0 || lpa >= int64(len(f.l2p)) || f.l2p[lpa].dataLen == 0 {
-		return mapping{}, false
-	}
-	return f.l2p[lpa], true
-}
-
-// setMapping installs lpa -> m (m.dataLen must be >= 1) and the reverse
-// entry, growing l2p on demand.
-func (f *FTL) setMapping(lpa int64, m mapping) {
-	if lpa >= int64(len(f.l2p)) {
-		f.growL2P(lpa)
-	}
-	if f.l2p[lpa].dataLen == 0 {
-		f.mapped++
-	}
-	f.l2p[lpa] = m
-	f.p2l[f.pidx(m.ppa)] = lpa
-}
-
-// growL2P extends the dense table to cover lpa, at least doubling so
-// sequential LBA allocation amortizes to O(1) per write.
-func (f *FTL) growL2P(lpa int64) {
-	n := 2 * int64(len(f.l2p))
-	if n < lpa+1 {
-		n = lpa + 1
-	}
-	grown := make([]mapping, n)
-	copy(grown, f.l2p)
-	f.l2p = grown
-}
-
-// clearMapping drops the l2p entry for lpa (the reverse entry is the
-// caller's business — invalidate handles it).
-func (f *FTL) clearMapping(lpa int64) {
-	if lpa >= 0 && lpa < int64(len(f.l2p)) && f.l2p[lpa].dataLen != 0 {
-		f.l2p[lpa] = mapping{}
-		f.mapped--
-	}
-}
-
-// aidx maps a (stream, lifetime bin) pair to its active-block slot.
-func aidx(id StreamID, h storage.LifetimeHint) int {
-	return int(id)*storage.NumLifetimeHints + int(h)
-}
 
 // allocBlock takes a block from the free pool for the stream and bin,
 // honoring the stream's wear-leveling policy, and sets the operating
@@ -416,16 +280,9 @@ func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 		}
 		// A mode switch changes the block's page count and therefore
 		// the device's usable capacity; notify when safe.
-		f.capDirty = true
+		f.NotifyCapacity()
 	}
-	st := &f.blocks[b]
-	st.owner = id
-	st.hint = h
-	st.allocated = true
-	st.valid = 0
-	st.stale = 0
-	st.fullPages = 0
-	st.parks = 0
+	f.Units[b] = storage.Unit{Owner: id, Bin: h, InUse: true}
 	return b, nil
 }
 
@@ -433,7 +290,8 @@ func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 // if it still has room, rotating it out when full. Returns -1 when a new
 // allocation is needed.
 func (f *FTL) activeWritable(id StreamID, h storage.LifetimeHint) (int, error) {
-	b := f.active[aidx(id, h)]
+	s := storage.ActiveSlot(id, h)
+	b := f.Active[s]
 	if b < 0 {
 		return -1, nil
 	}
@@ -441,11 +299,11 @@ func (f *FTL) activeWritable(id StreamID, h storage.LifetimeHint) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if f.blocks[b].fullPages < pages {
+	if f.Units[b].Programmed < pages {
 		return b, nil
 	}
 	// Block full; it remains owned by the stream for GC accounting.
-	f.active[aidx(id, h)] = -1
+	f.Active[s] = -1
 	return -1, nil
 }
 
@@ -457,9 +315,9 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 	}
 	// Reclaim until the pool is healthy or GC stops making progress.
 	for len(f.freePool) <= f.gcLow {
-		prev := f.gcRuns
-		f.runGC(id)
-		if f.gcRuns == prev {
+		prev := f.GCRuns
+		f.RunGC(id)
+		if f.GCRuns == prev {
 			break
 		}
 	}
@@ -491,7 +349,7 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	f.active[aidx(id, h)] = nb
+	f.Active[storage.ActiveSlot(id, h)] = nb
 	return nb, nil
 }
 
@@ -502,37 +360,12 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 func (f *FTL) Write(lpa int64, data []byte, dataLen int, id StreamID) error {
 	// The result is read before the deferred capacity callback runs, so
 	// a callback that writes again cannot overwrite it.
-	defer f.flushCapacity()
+	defer f.FlushCapacity()
 	f.w1op[0] = storage.BatchOp{LPA: lpa, Data: data, DataLen: dataLen, Stream: id}
 	f.writeBatch(f.w1op[:], f.w1fate[:], 1, 1)
 	f.w1op[0] = storage.BatchOp{}
 	return f.w1fate[0].Err
 }
-
-// Hint returns the recorded lifetime bin for a mapped lpa
-// (storage.Backend).
-func (f *FTL) Hint(lpa int64) (storage.LifetimeHint, bool) {
-	m, ok := f.lookup(lpa)
-	if !ok {
-		return storage.HintNone, false
-	}
-	return m.hint, true
-}
-
-// Digest returns the recorded payload digest for a mapped lpa
-// (storage.Backend).
-func (f *FTL) Digest(lpa int64) (uint64, bool) {
-	m, ok := f.lookup(lpa)
-	if !ok || !m.hasDigest {
-		return 0, false
-	}
-	return m.digest, true
-}
-
-// maxProgramAttempts is how many programs one write may attempt, in
-// total across its batched program and slow-path retries, before its
-// program-status failures reach the host.
-const maxProgramAttempts = 4
 
 // writeOne is WriteBatch's slow path for a validated op — encode,
 // program (GC, allocation, and static wear leveling all permitted),
@@ -556,16 +389,16 @@ func (f *FTL) writeOne(op *storage.BatchOp, attempts int) (int, int, error) {
 	if err != nil {
 		return -1, -1, err
 	}
-	f.hostWrites++
+	f.HostWrites++
 	if op.Hint != storage.HintNone {
-		f.hintedWrites++
+		f.Hinted++
 	}
 
 	// Supersede the old location.
-	if old, ok := f.lookup(op.LPA); ok {
-		f.invalidate(old.ppa)
+	if old, ok := f.Lookup(op.LPA); ok {
+		f.invalidate(old)
 	}
-	f.setMapping(op.LPA, mapping{ppa: PPA{Block: b, Page: page}, stream: op.Stream, dataLen: dataLen, digest: op.Digest, hasDigest: op.HasDigest, hint: op.Hint})
+	f.SetMapping(op.LPA, storage.Mapping{Unit: b, Index: page, Stream: op.Stream, DataLen: dataLen, Digest: op.Digest, HasDigest: op.HasDigest, Hint: op.Hint})
 	return b, page, nil
 }
 
@@ -598,12 +431,13 @@ func (f *FTL) program(stored []byte, storedLen int, tag flash.PageTag, attempts 
 		// any readable tag a failed program left behind.
 		f.writeSerial++
 		tag.Serial = f.writeSerial
-		page := f.blocks[b].fullPages
+		u := &f.Units[b]
+		page := u.Programmed
 		perr := f.chip.ProgramTagged(b, page, stored, storedLen, tag)
 		if perr == nil {
-			f.blocks[b].fullPages++
-			f.blocks[b].valid++
-			f.flashPrograms++
+			u.Programmed++
+			u.Live++
+			f.FlashPrograms++
 			f.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: tag.LPA, Block: b, Page: page, Stream: int(id), Aux: int64(tag.DataLen)})
 			return b, page, nil
 		}
@@ -612,37 +446,38 @@ func (f *FTL) program(stored []byte, storedLen int, tag flash.PageTag, attempts 
 		}
 		f.sealFailedBlock(b)
 	}
-	return -1, -1, fmt.Errorf("ftl: %d consecutive program failures: %w", maxProgramAttempts, flash.ErrProgramFail)
+	return -1, -1, fmt.Errorf("ftl: %d consecutive program failures: %w", storage.MaxProgramAttempts, flash.ErrProgramFail)
 }
 
-// sealBlock marks a block as taking no further programs: GC drains it
-// with priority and it retires at erase time.
+// sealBlock condemns a block: it takes no further programs, GC drains
+// it with priority, and it retires at erase time.
 func (f *FTL) sealBlock(b int) {
-	st := &f.blocks[b]
-	st.progFailed = true
+	u := &f.Units[b]
+	u.Condemned = true
 	// Freeze the programmed-page count at the chip's cursor.
 	if info, err := f.chip.Info(b); err == nil {
-		st.fullPages = info.NextPage
+		u.Programmed = info.NextPage
 	}
-	if s := aidx(st.owner, st.hint); f.active[s] == b {
-		f.active[s] = -1
+	if s := storage.ActiveSlot(u.Owner, u.Bin); f.Active[s] == b {
+		f.Active[s] = -1
 	}
 }
 
 // sealFailedBlock seals a block after a program-status failure.
 func (f *FTL) sealFailedBlock(b int) {
 	f.sealBlock(b)
-	f.progFailures++
+	f.ProgFailures++
 }
 
-// invalidate marks a physical page stale and updates block accounting.
-func (f *FTL) invalidate(ppa PPA) {
-	if err := f.chip.MarkStale(ppa.Block, ppa.Page); err == nil {
-		st := &f.blocks[ppa.Block]
-		st.valid--
-		st.stale++
+// invalidate marks the page m points at stale and updates its block's
+// accounting.
+func (f *FTL) invalidate(m storage.Mapping) {
+	if err := f.chip.MarkStale(m.Unit, m.Index); err == nil {
+		u := &f.Units[m.Unit]
+		u.Live--
+		u.Stale++
 	}
-	f.p2l[f.pidx(ppa)] = -1
+	f.P2L[f.PageIndex(m.Unit, m.Index)] = -1
 }
 
 // ReadBatch implements storage.Backend: the FTL resolves every op
@@ -673,38 +508,26 @@ func (f *FTL) readBatch(e *storage.ReadEngine, ops []storage.BatchReadOp, fates 
 	e.Begin(f.chip, len(ops))
 	for i := range ops {
 		fates[i] = storage.BatchReadFate{Block: -1, Page: -1}
-		m, ok := f.lookup(ops[i].LPA)
+		m, ok := f.Lookup(ops[i].LPA)
 		if !ok {
 			fates[i].Err = ErrUnknownLPA
 			continue
 		}
-		fates[i].Block, fates[i].Page = m.ppa.Block, m.ppa.Page
-		e.Add(i, ops[i].LPA, m.ppa, m.stream, f.streams[m.stream].Scheme, m.dataLen, m.baseFlips)
+		fates[i].Block, fates[i].Page = m.Unit, m.Index
+		e.Add(i, ops[i].LPA, PPA{Block: m.Unit, Page: m.Index}, m.Stream, f.streams[m.Stream].Scheme, m.DataLen, m.BaseFlips)
 	}
-	f.degradedReads += e.Run(ops, fates, queues, workers, "ftl", f.obs)
+	f.DegradedReads += e.Run(ops, fates, queues, workers, "ftl", f.obs)
 }
 
 // Trim drops the mapping for lpa (host discard / file delete).
 func (f *FTL) Trim(lpa int64) error {
-	m, ok := f.lookup(lpa)
+	m, ok := f.Lookup(lpa)
 	if !ok {
 		return ErrUnknownLPA
 	}
-	f.invalidate(m.ppa)
-	f.clearMapping(lpa)
+	f.invalidate(m)
+	f.ClearMapping(lpa)
 	return nil
-}
-
-// Contains reports whether lpa is mapped.
-func (f *FTL) Contains(lpa int64) bool {
-	_, ok := f.lookup(lpa)
-	return ok
-}
-
-// StreamOf returns the stream a mapped lpa belongs to.
-func (f *FTL) StreamOf(lpa int64) (StreamID, bool) {
-	m, ok := f.lookup(lpa)
-	return m.stream, ok
 }
 
 // Locate reports where a mapped lpa physically lives, its stream, and
@@ -712,12 +535,9 @@ func (f *FTL) StreamOf(lpa int64) (StreamID, bool) {
 // to escalate repeated hard read faults into block retirement and to
 // salvage what it can of an unreadable page.
 func (f *FTL) Locate(lpa int64) (ppa PPA, stream StreamID, dataLen int, ok bool) {
-	m, found := f.lookup(lpa)
+	m, found := f.Lookup(lpa)
 	if !found {
 		return PPA{}, 0, 0, false
 	}
-	return m.ppa, m.stream, m.dataLen, true
+	return PPA{Block: m.Unit, Page: m.Index}, m.Stream, m.DataLen, true
 }
-
-// MappedPages returns the number of live logical pages.
-func (f *FTL) MappedPages() int { return f.mapped }

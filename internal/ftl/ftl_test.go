@@ -481,7 +481,7 @@ func TestCapacityVarianceOnRetirement(t *testing.T) {
 	f, _ := testFTL(t, 8)
 	initial := f.UsablePages()
 	var notices []int
-	f.OnCapacityChange = func(p int) { notices = append(notices, p) }
+	f.SetCapacityCallback(func(p int) { notices = append(notices, p) })
 
 	data := make([]byte, 64)
 	// PLC rated 400; 8 blocks x 10 pages: ~64 usable pages/cycle.

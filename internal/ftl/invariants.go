@@ -16,50 +16,50 @@ import (
 func CheckInvariants(f *FTL) error {
 	live := 0
 	perBlock := make([]int, len(f.blocks))
-	for lpa := int64(0); lpa < int64(len(f.l2p)); lpa++ {
-		m := f.l2p[lpa]
-		if m.dataLen == 0 {
+	for lpa := int64(0); lpa < int64(len(f.L2P)); lpa++ {
+		m := f.L2P[lpa]
+		if m.DataLen == 0 {
 			continue
 		}
 		live++
-		idx := f.pidx(m.ppa)
-		if idx < 0 || idx >= len(f.p2l) {
-			return fmt.Errorf("ftl: lpa %d -> %v outside the physical address space", lpa, m.ppa)
+		ppa := PPA{Block: m.Unit, Page: m.Index}
+		if m.Unit < 0 || m.Unit >= len(f.blocks) || m.Index < 0 || m.Index >= f.ppb {
+			return fmt.Errorf("ftl: lpa %d -> %v outside the physical address space", lpa, ppa)
 		}
-		if back := f.p2l[idx]; back != lpa {
-			return fmt.Errorf("ftl: lpa %d -> %v -> %d", lpa, m.ppa, back)
+		if back := f.P2L[f.PageIndex(m.Unit, m.Index)]; back != lpa {
+			return fmt.Errorf("ftl: lpa %d -> %v -> %d", lpa, ppa, back)
 		}
-		perBlock[m.ppa.Block]++
+		perBlock[m.Unit]++
 	}
-	if live != f.mapped {
-		return fmt.Errorf("ftl: mapped count %d but %d live l2p entries", f.mapped, live)
+	if live != f.MappedPages() {
+		return fmt.Errorf("ftl: mapped count %d but %d live l2p entries", f.MappedPages(), live)
 	}
 	reverse := 0
-	for idx, lpa := range f.p2l {
+	for idx, lpa := range f.P2L {
 		if lpa < 0 {
 			continue
 		}
 		reverse++
-		if lpa >= int64(len(f.l2p)) || f.l2p[lpa].dataLen == 0 {
+		if lpa >= int64(len(f.L2P)) || f.L2P[lpa].DataLen == 0 {
 			return fmt.Errorf("ftl: p2l entry %d -> lpa %d has no live forward mapping", idx, lpa)
 		}
 	}
 	if reverse != live {
 		return fmt.Errorf("ftl: l2p has %d live entries, p2l has %d", live, reverse)
 	}
-	for b := range f.blocks {
-		st := &f.blocks[b]
-		if st.allocated {
-			if st.valid != perBlock[b] {
+	for b := range f.Units {
+		u := &f.Units[b]
+		if u.InUse {
+			if u.Live != perBlock[b] {
 				return fmt.Errorf("ftl: block %d valid=%d but %d live mappings",
-					b, st.valid, perBlock[b])
+					b, u.Live, perBlock[b])
 			}
 		} else if perBlock[b] != 0 {
 			return fmt.Errorf("ftl: unallocated block %d has %d live mappings", b, perBlock[b])
 		}
-		if st.stale < 0 || st.stale > st.fullPages {
+		if u.Stale < 0 || u.Stale > u.Programmed {
 			return fmt.Errorf("ftl: block %d stale=%d with %d programmed pages",
-				b, st.stale, st.fullPages)
+				b, u.Stale, u.Programmed)
 		}
 	}
 	seen := map[int]bool{}
@@ -68,10 +68,9 @@ func CheckInvariants(f *FTL) error {
 			return fmt.Errorf("ftl: block %d in free pool twice", b)
 		}
 		seen[b] = true
-		st := &f.blocks[b]
-		if st.allocated || st.retired {
+		if f.Units[b].InUse || f.blocks[b].retired {
 			return fmt.Errorf("ftl: free-pool block %d allocated=%v retired=%v",
-				b, st.allocated, st.retired)
+				b, f.Units[b].InUse, f.blocks[b].retired)
 		}
 		info, err := f.chip.Info(b)
 		if err != nil {

@@ -46,7 +46,7 @@ func Recover(chip Flash, cfg Config) (*FTL, error) {
 //     resuscitation ladder positions are forgotten (a sealed block will
 //     simply fail again and be resealed).
 func (f *FTL) Rebuild() error {
-	if f.mapped != 0 || f.hostWrites != 0 {
+	if f.MappedPages() != 0 || f.HostWrites != 0 {
 		return ErrNotFresh
 	}
 	type winner struct {
@@ -67,10 +67,11 @@ func (f *FTL) Rebuild() error {
 		if err != nil {
 			return err
 		}
-		st := &f.blocks[b]
-		*st = blockState{}
+		f.blocks[b] = blockState{}
+		u := &f.Units[b]
+		*u = storage.Unit{}
 		if info.Retired {
-			st.retired = true
+			f.blocks[b].retired = true
 			f.retiredCnt++
 			continue
 		}
@@ -79,8 +80,8 @@ func (f *FTL) Rebuild() error {
 			f.freePool = append(f.freePool, b)
 			continue
 		}
-		st.allocated = true
-		st.fullPages = info.NextPage
+		u.InUse = true
+		u.Programmed = info.NextPage
 		for p := 0; p < info.NextPage; p++ {
 			state, err := f.chip.StateOf(b, p)
 			if err != nil {
@@ -100,10 +101,10 @@ func (f *FTL) Rebuild() error {
 				continue
 			}
 			if int(tag.Stream) < len(f.streams) {
-				st.owner = StreamID(tag.Stream)
+				u.Owner = StreamID(tag.Stream)
 			}
 			if int(tag.Hint) < storage.NumLifetimeHints {
-				st.hint = storage.LifetimeHint(tag.Hint)
+				u.Bin = storage.LifetimeHint(tag.Hint)
 			}
 			if tag.Serial > maxSerial {
 				maxSerial = tag.Serial
@@ -138,19 +139,19 @@ func (f *FTL) Rebuild() error {
 		if int(w.tag.Hint) >= storage.NumLifetimeHints {
 			hint = storage.HintNone
 		}
-		f.setMapping(lpa, mapping{
-			ppa:       w.ppa,
-			stream:    StreamID(w.tag.Stream),
-			dataLen:   int(w.tag.DataLen),
-			digest:    w.tag.Digest,
-			hasDigest: w.tag.HasDigest,
-			hint:      hint,
+		f.SetMapping(lpa, storage.Mapping{
+			Unit:      w.ppa.Block,
+			Index:     w.ppa.Page,
+			Stream:    StreamID(w.tag.Stream),
+			DataLen:   int(w.tag.DataLen),
+			Digest:    w.tag.Digest,
+			HasDigest: w.tag.HasDigest,
+			Hint:      hint,
 		})
-		f.blocks[w.ppa.Block].valid++
+		f.Units[w.ppa.Block].Live++
 	}
 	for _, ppa := range losers {
-		st := &f.blocks[ppa.Block]
-		st.stale++
+		f.Units[ppa.Block].Stale++
 		// The chip may still consider the page live; align its state.
 		if state, err := f.chip.StateOf(ppa.Block, ppa.Page); err == nil && state == flash.PageWritten {
 			if err := f.chip.MarkStale(ppa.Block, ppa.Page); err != nil {
@@ -164,22 +165,22 @@ func (f *FTL) Rebuild() error {
 	// active block (at most one per slot; the rest stay as-is and are
 	// GC-reclaimable once stale). The bin comes from the block's OOB
 	// tags, so hinted placement survives the crash exactly.
-	for i := range f.active {
-		f.active[i] = -1
+	for i := range f.Active {
+		f.Active[i] = -1
 	}
 	for b := 0; b < f.chip.Blocks(); b++ {
-		st := &f.blocks[b]
-		if !st.allocated || st.retired {
+		u := &f.Units[b]
+		if !u.InUse {
 			continue
 		}
 		pages, err := f.chip.PagesIn(b)
 		if err != nil {
 			return err
 		}
-		if s := aidx(st.owner, st.hint); st.fullPages < pages && f.active[s] == -1 {
-			f.active[s] = b
+		if s := storage.ActiveSlot(u.Owner, u.Bin); u.Programmed < pages && f.Active[s] == -1 {
+			f.Active[s] = b
 		}
 	}
-	f.obs.Record(obs.Event{Kind: obs.EvRebuild, Aux: int64(f.mapped)})
+	f.obs.Record(obs.Event{Kind: obs.EvRebuild, Aux: int64(f.MappedPages())})
 	return nil
 }

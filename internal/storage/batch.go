@@ -1,5 +1,7 @@
 package storage
 
+import "sos/internal/ecc"
+
 // Batched submission: the shape of every logical write and read. The
 // device layer collects a burst of logical ops, deals them across
 // submission queues, and hands the whole batch to the backend in one
@@ -30,6 +32,41 @@ type BatchOp struct {
 	// tag (see Backend.Hint). The zero value HintNone reproduces
 	// unhinted placement exactly.
 	Hint LifetimeHint
+}
+
+// PayloadLen returns the op's logical payload length: len(Data) for a
+// payload write, DataLen for an accounting-only one.
+func (op *BatchOp) PayloadLen() int {
+	if op.Data != nil {
+		return len(op.Data)
+	}
+	return op.DataLen
+}
+
+// ValidateBatch is the first phase of every backend's WriteBatch. It
+// resets each op's fate, rejects malformed ops — an unknown stream, a
+// negative LPA, a payload length outside 1..pageSize, checked in that
+// order — with the shared sentinels, and records each op's codeword
+// size in sizes[i]: -1 for a reject, 0 for an accounting-only op.
+func ValidateBatch(ops []BatchOp, fates []BatchFate, streams []StreamPolicy, pageSize int, sizes []int) {
+	for i := range ops {
+		op := &ops[i]
+		fates[i] = BatchFate{Block: -1, Page: -1}
+		sizes[i] = -1
+		n := op.PayloadLen()
+		switch {
+		case op.Stream < 0 || int(op.Stream) >= len(streams):
+			fates[i].Err = ErrUnknownStream
+		case op.LPA < 0:
+			fates[i].Err = ErrBadLPA
+		case n <= 0 || n > pageSize:
+			fates[i].Err = ErrPayloadSize
+		case op.Data == nil:
+			sizes[i] = 0
+		default:
+			sizes[i] = ecc.StoredLen(streams[op.Stream].Scheme, n)
+		}
+	}
 }
 
 // BatchFate is the per-op outcome of a batch, in submission order.

@@ -18,7 +18,16 @@ import (
 // zone is reset, going offline at end of life (capacity variance at
 // zone granularity). It implements storage.Backend so the entire stack
 // above internal/device runs unchanged over streams or zones.
+//
+// Its storage.Reclaimer holds one Unit per zone — owner, lifetime bin,
+// live and stale pages, the write pointer as Programmed, open-or-full as
+// InUse, and Condemned for a quarantined zone, which drains with
+// priority and is forced offline at reset — and the dense mapping
+// tables: L2P indexed directly by LPA, P2L by zone*zcap+idx, where zcap
+// is the zone page stride at native density.
 type Backend struct {
+	storage.Reclaimer
+
 	dev     *Device
 	chip    storage.Flash
 	streams []storage.StreamPolicy
@@ -26,51 +35,11 @@ type Backend struct {
 	obs     *obs.Recorder
 	cfg     BackendConfig // as given; Recover remounts from it
 
-	// Dense mapping tables, mirroring the device-side FTL: l2p is
-	// indexed directly by LPA (dataLen == 0 marks an unmapped entry) and
-	// grows on demand; p2l is indexed by zone*zcap+idx with -1 for "no
-	// live page", where zcap is the zone page stride at native density.
-	// mapped counts live entries.
-	l2p    []zmapping
-	p2l    []int64
-	zcap   int
-	mapped int
-
-	owner     []storage.StreamID     // per zone: stream that opened it
-	live      []int                  // per zone: live page count
-	condemned []bool                 // per zone: drain with priority, then force offline
-	zhint     []storage.LifetimeHint // per zone: lifetime bin it was opened for
-	zparks    []uint8                // per zone: consecutive GC victim deferrals
-	active    []int                  // per (stream, bin) slot: open zone taking appends; -1 none
-	gcLow     int                    // empty-zone low water triggering GC
-	reserve   int                    // zones held back as relocation headroom
-	logicalSz int
-
-	// gcSkip marks zones deferred as GC victims within one runGC pass;
-	// gcSkipped lists the marked zones so clearing is O(deferred).
-	gcSkip    []bool
-	gcSkipped []int
-
-	// Telemetry (the storage.Stats vocabulary at zone granularity).
-	hostWrites    int64
-	flashPrograms int64
-	gcRuns        int64 // zone reclamations
-	gcMoves       int64
-	degradedReads int64
-	progFailures  int64
-	relocRetries  int64
-	salvagedPages int64
-	salvagedBytes int64
-	writeSerial   uint64
-
-	// Lifetime-hint telemetry: hintedWrites gates the dead-skip GC fast
-	// path (zero hints => pre-hint behavior, byte for byte).
-	hintedWrites   int64
-	deadSkipDefers int64
-	deadSkipPages  int64
-
-	onCapacity func(usablePages int)
-	capDirty   bool
+	zcap        int
+	gcLow       int // empty-zone low water triggering GC
+	reserve     int // zones held back as relocation headroom
+	logicalSz   int
+	writeSerial uint64
 
 	// bs is WriteBatch's reusable scratch (see batch.go).
 	bs batchScratch
@@ -83,27 +52,6 @@ type Backend struct {
 	w1fate [1]storage.BatchFate
 	r1op   [1]storage.BatchReadOp
 	r1fate [1]storage.BatchReadFate
-	// reloc is the relocation scratch (GC, scrub, reclassification);
-	// relocations never nest, since their appends never run GC.
-	reloc storage.Relocation
-}
-
-// zmapping is the host-side L2P entry.
-type zmapping struct {
-	zone, idx int
-	stream    storage.StreamID
-	dataLen   int
-	// baseFlips carries degradation crystallized across relocations of
-	// accounting-only pages, exactly as in the device-side FTL.
-	baseFlips int
-	// digest mirrors the page's OOB tag digest (storage.Backend.Digest);
-	// relocation copies it verbatim, so it always hashes the original
-	// host payload.
-	digest    uint64
-	hasDigest bool
-	// hint mirrors the page's OOB lifetime bin; relocation carries it
-	// verbatim so same-bin data stays co-located across moves.
-	hint storage.LifetimeHint
 }
 
 // BackendConfig configures the zoned backend. The field vocabulary
@@ -211,36 +159,59 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		attrs:     attrs,
 		obs:       cfg.Obs,
 		cfg:       cfg,
-		p2l:       make([]int64, nz*zcap),
 		zcap:      zcap,
-		owner:     make([]storage.StreamID, nz),
-		live:      make([]int, nz),
-		condemned: make([]bool, nz),
-		zhint:     make([]storage.LifetimeHint, nz),
-		zparks:    make([]uint8, nz),
-		gcSkip:    make([]bool, nz),
-		active:    make([]int, len(cfg.Streams)*storage.NumLifetimeHints),
 		gcLow:     low,
 		reserve:   reserve,
 		logicalSz: cfg.Chip.Geometry().PageSize,
 	}
-	for i := range b.p2l {
-		b.p2l[i] = -1
-	}
-	for i := range b.active {
-		b.active[i] = -1
-	}
+	b.Init(storage.ReclaimConfig{
+		Name: "zns", Chip: cfg.Chip, Streams: cfg.Streams, Obs: cfg.Obs, Ops: unitOps{b},
+		Units: nz, Stride: zcap, BlocksPerUnit: bpz,
+		LowWater: low, Reserve: reserve,
+	})
 	return b, nil
 }
 
 var _ storage.Backend = (*Backend)(nil)
 
-// aidx maps a (stream, lifetime-bin) pair to its active-zone slot.
-// aidx(0, HintNone) == 0, so unhinted single-stream state lands exactly
-// where the pre-hint design kept it.
-func aidx(id storage.StreamID, h storage.LifetimeHint) int {
-	return int(id)*storage.NumLifetimeHints + int(h)
+// unitOps answers the shared reclaim policy's questions about zones
+// (storage.UnitOps), keeping the hooks off the Backend's own method set.
+type unitOps struct{ *Backend }
+
+// FreeUnits returns the number of empty zones.
+func (o unitOps) FreeUnits() int { return o.emptyZones() }
+
+// Wear returns zone z's mean block wear.
+func (o unitOps) Wear(z int) (float64, error) {
+	info, err := o.dev.Info(z)
+	return info.MeanWear, err
 }
+
+// PageAddr maps a zone-relative page index to its chip address.
+func (o unitOps) PageAddr(z, idx int) (storage.PPA, error) {
+	blk, page, err := o.dev.locate(&o.dev.zones[z], idx)
+	return storage.PPA{Block: blk, Page: page}, err
+}
+
+// Remap appends a relocated page to its destination stream's open zone
+// for the page's bin (dipping into the reserve, never running GC) and
+// installs it; the append stamps the serial once the zone is secured.
+func (o unitOps) Remap(lpa int64, old storage.Mapping, mv storage.Moved, tag flash.PageTag) error {
+	z, idx, _, _, err := o.appendCore(mv.Stored, mv.StoredLen, tag, false)
+	if err != nil {
+		return err
+	}
+	old.Unit, old.Index, old.Stream, old.BaseFlips = z, idx, storage.StreamID(tag.Stream), mv.BaseFlips
+	o.install(lpa, old)
+	return nil
+}
+
+// Reset resets a drained zone.
+func (o unitOps) Reset(z int) error { return o.resetZone(z) }
+
+// Level does nothing: a zone is written whole, so there is no static
+// wear leveling inside it.
+func (o unitOps) Level(storage.StreamID) {}
 
 // Name identifies the backend kind for telemetry and the -backend flag.
 func (b *Backend) Name() string { return "zns" }
@@ -257,23 +228,6 @@ func (b *Backend) Device() *Device { return b.dev }
 // Chip exposes the underlying medium.
 func (b *Backend) Chip() storage.Flash { return b.chip }
 
-// SetCapacityCallback installs the capacity-variance callback.
-func (b *Backend) SetCapacityCallback(fn func(usablePages int)) { b.onCapacity = fn }
-
-func (b *Backend) notifyCapacity() { b.capDirty = true }
-
-// flushCapacity delivers a pending capacity-change notification at the
-// end of the public operation that caused it.
-func (b *Backend) flushCapacity() {
-	if !b.capDirty {
-		return
-	}
-	b.capDirty = false
-	if b.onCapacity != nil {
-		b.onCapacity(b.UsablePages())
-	}
-}
-
 // emptyZones counts zones available for opening.
 func (b *Backend) emptyZones() int {
 	n := 0
@@ -283,16 +237,6 @@ func (b *Backend) emptyZones() int {
 		}
 	}
 	return n
-}
-
-// isActive reports whether z is some stream's append target.
-func (b *Backend) isActive(z int) bool {
-	for _, a := range b.active {
-		if a == z {
-			return true
-		}
-	}
-	return false
 }
 
 // openFor opens the best empty zone for the (stream, bin): min-wear for
@@ -325,14 +269,13 @@ func (b *Backend) openFor(id storage.StreamID, h storage.LifetimeHint) (int, err
 	// Opening under a different attribute switches block modes and
 	// therefore the page count the zone offers.
 	if info, err := b.chip.Info(b.dev.zones[best].blocks[0]); err == nil && info.Mode != b.dev.pol[attr].Mode {
-		b.notifyCapacity()
+		b.NotifyCapacity()
 	}
 	if err := b.dev.Open(best, attr); err != nil {
 		return -1, err
 	}
-	b.owner[best] = id
-	b.zhint[best] = h
-	b.zparks[best] = 0
+	u := &b.Units[best]
+	u.Owner, u.Bin, u.Parks, u.InUse = id, h, 0, true
 	return best, nil
 }
 
@@ -340,15 +283,15 @@ func (b *Backend) openFor(id storage.StreamID, h storage.LifetimeHint) (int, err
 // accepts appends (the device seals zones at capacity and on program
 // failure).
 func (b *Backend) activeWritable(id storage.StreamID, h storage.LifetimeHint) (int, error) {
-	s := aidx(id, h)
-	z := b.active[s]
+	s := storage.ActiveSlot(id, h)
+	z := b.Active[s]
 	if z < 0 {
 		return -1, nil
 	}
 	if b.dev.zones[z].state == ZoneOpen {
 		return z, nil
 	}
-	b.active[s] = -1
+	b.Active[s] = -1
 	return -1, nil
 }
 
@@ -360,9 +303,9 @@ func (b *Backend) writableZone(id storage.StreamID, h storage.LifetimeHint) (int
 		return z, err
 	}
 	for b.emptyZones() <= b.gcLow {
-		prev := b.gcRuns
-		b.runGC(id)
-		if b.gcRuns == prev {
+		prev := b.GCRuns
+		b.RunGC(id)
+		if b.GCRuns == prev {
 			break
 		}
 	}
@@ -377,7 +320,7 @@ func (b *Backend) writableZone(id storage.StreamID, h storage.LifetimeHint) (int
 	if err != nil {
 		return -1, err
 	}
-	b.active[aidx(id, h)] = z
+	b.Active[storage.ActiveSlot(id, h)] = z
 	return z, nil
 }
 
@@ -391,7 +334,7 @@ func (b *Backend) relocZone(id storage.StreamID, h storage.LifetimeHint) (int, e
 	if err != nil {
 		return -1, err
 	}
-	b.active[aidx(id, h)] = z
+	b.Active[storage.ActiveSlot(id, h)] = z
 	return z, nil
 }
 
@@ -401,31 +344,11 @@ func (b *Backend) relocZone(id storage.StreamID, h storage.LifetimeHint) (int, e
 func (b *Backend) Write(lpa int64, data []byte, dataLen int, id storage.StreamID) error {
 	// The result is read before the deferred capacity callback runs, so
 	// a callback that writes again cannot overwrite it.
-	defer b.flushCapacity()
+	defer b.FlushCapacity()
 	b.w1op[0] = storage.BatchOp{LPA: lpa, Data: data, DataLen: dataLen, Stream: id}
 	b.writeBatch(b.w1op[:], b.w1fate[:], 1, 1)
 	b.w1op[0] = storage.BatchOp{}
 	return b.w1fate[0].Err
-}
-
-// Hint returns the recorded lifetime bin for a mapped lpa
-// (storage.Backend).
-func (b *Backend) Hint(lpa int64) (storage.LifetimeHint, bool) {
-	m, ok := b.lookup(lpa)
-	if !ok {
-		return storage.HintNone, false
-	}
-	return m.hint, true
-}
-
-// Digest returns the recorded payload digest for a mapped lpa
-// (storage.Backend).
-func (b *Backend) Digest(lpa int64) (uint64, bool) {
-	m, ok := b.lookup(lpa)
-	if !ok || !m.hasDigest {
-		return 0, false
-	}
-	return m.digest, true
 }
 
 // appendCore appends one page, pre-encoded through the zone
@@ -438,9 +361,9 @@ func (b *Backend) Digest(lpa int64) (uint64, bool) {
 // may not. It also reports the chip (block, page) the page landed on,
 // so batched callers can stamp virtual-time lanes.
 func (b *Backend) appendCore(stored []byte, storedLen int, tag flash.PageTag, host bool) (zn, idx, blk, page int, err error) {
-	const maxAttempts = 4
 	id, hint := storage.StreamID(tag.Stream), storage.LifetimeHint(tag.Hint)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	s := storage.ActiveSlot(id, hint)
+	for attempt := 0; attempt < storage.MaxProgramAttempts; attempt++ {
 		var z int
 		var err error
 		if host {
@@ -464,62 +387,40 @@ func (b *Backend) appendCore(stored []byte, storedLen int, tag flash.PageTag, ho
 		idx, blk, page, aerr := b.dev.Append(z, stored, storedLen, int(tag.DataLen), tag)
 		if aerr == nil {
 			// The device seals the zone when the append hits capacity.
-			if s := aidx(id, hint); b.dev.zones[z].state != ZoneOpen && b.active[s] == z {
-				b.active[s] = -1
+			if b.dev.zones[z].state != ZoneOpen && b.Active[s] == z {
+				b.Active[s] = -1
 			}
-			b.flashPrograms++
+			b.Units[z].Programmed = b.dev.zones[z].wp
+			b.FlashPrograms++
 			b.obs.Record(obs.Event{Kind: obs.EvProgram, LBA: tag.LPA, Block: blk, Page: page, Stream: int(id), Aux: int64(tag.DataLen)})
 			return z, idx, blk, page, nil
 		}
 		if !errors.Is(aerr, ErrZoneFull) {
 			return -1, -1, -1, -1, fmt.Errorf("zns: append zone %d: %w", z, aerr)
 		}
-		b.progFailures++
-		b.active[aidx(id, hint)] = -1
+		b.ProgFailures++
+		b.Active[s] = -1
 	}
-	return -1, -1, -1, -1, fmt.Errorf("zns: %d consecutive program failures: %w", maxAttempts, flash.ErrProgramFail)
-}
-
-// pidx converts a zone-relative address to its p2l table index.
-func (b *Backend) pidx(zone, idx int) int { return zone*b.zcap + idx }
-
-// lookup returns the live mapping for lpa, if any.
-func (b *Backend) lookup(lpa int64) (zmapping, bool) {
-	if lpa < 0 || lpa >= int64(len(b.l2p)) || b.l2p[lpa].dataLen == 0 {
-		return zmapping{}, false
-	}
-	return b.l2p[lpa], true
+	return -1, -1, -1, -1, fmt.Errorf("zns: %d consecutive program failures: %w", storage.MaxProgramAttempts, flash.ErrProgramFail)
 }
 
 // install records a new physical location for lpa, superseding any old
 // one host-side (no on-device stale marking exists; recovery resolves
-// duplicates newest-serial-wins). The dense l2p grows on demand with
-// amortized doubling; m.dataLen must be >= 1.
-func (b *Backend) install(lpa int64, m zmapping) {
-	if old, ok := b.lookup(lpa); ok {
+// duplicates newest-serial-wins); m.DataLen must be >= 1.
+func (b *Backend) install(lpa int64, m storage.Mapping) {
+	if old, ok := b.Lookup(lpa); ok {
 		b.drop(old)
 	}
-	if lpa >= int64(len(b.l2p)) {
-		n := 2 * int64(len(b.l2p))
-		if n < lpa+1 {
-			n = lpa + 1
-		}
-		grown := make([]zmapping, n)
-		copy(grown, b.l2p)
-		b.l2p = grown
-	}
-	if b.l2p[lpa].dataLen == 0 {
-		b.mapped++
-	}
-	b.l2p[lpa] = m
-	b.p2l[b.pidx(m.zone, m.idx)] = lpa
-	b.live[m.zone]++
+	b.SetMapping(lpa, m)
+	b.Units[m.Unit].Live++
 }
 
-// drop forgets a superseded physical location.
-func (b *Backend) drop(m zmapping) {
-	b.p2l[b.pidx(m.zone, m.idx)] = -1
-	b.live[m.zone]--
+// drop forgets a superseded physical location: the page turns stale.
+func (b *Backend) drop(m storage.Mapping) {
+	b.P2L[b.PageIndex(m.Unit, m.Index)] = -1
+	u := &b.Units[m.Unit]
+	u.Live--
+	u.Stale++
 }
 
 // ReadBatch implements storage.Backend: the backend resolves every op
@@ -552,254 +453,46 @@ func (b *Backend) readBatch(e *storage.ReadEngine, ops []storage.BatchReadOp, fa
 	e.Begin(b.chip, len(ops))
 	for i := range ops {
 		fates[i] = storage.BatchReadFate{Block: -1, Page: -1}
-		m, ok := b.lookup(ops[i].LPA)
+		m, ok := b.Lookup(ops[i].LPA)
 		if !ok {
 			fates[i].Err = storage.ErrUnknownLPA
 			continue
 		}
-		blk, page, err := b.dev.locate(&b.dev.zones[m.zone], m.idx)
+		blk, page, err := b.dev.locate(&b.dev.zones[m.Unit], m.Index)
 		if err != nil {
 			fates[i].Err = err
 			continue
 		}
 		fates[i].Block, fates[i].Page = blk, page
-		e.Add(i, ops[i].LPA, storage.PPA{Block: blk, Page: page}, m.stream, b.streams[m.stream].Scheme, m.dataLen, m.baseFlips)
+		e.Add(i, ops[i].LPA, storage.PPA{Block: blk, Page: page}, m.Stream, b.streams[m.Stream].Scheme, m.DataLen, m.BaseFlips)
 	}
-	b.degradedReads += e.Run(ops, fates, queues, workers, "zns", b.obs)
+	b.DegradedReads += e.Run(ops, fates, queues, workers, "zns", b.obs)
 }
 
 // Trim drops the mapping for lpa (host discard / file delete).
 func (b *Backend) Trim(lpa int64) error {
-	m, ok := b.lookup(lpa)
+	m, ok := b.Lookup(lpa)
 	if !ok {
 		return storage.ErrUnknownLPA
 	}
 	b.drop(m)
-	b.l2p[lpa] = zmapping{}
-	b.mapped--
+	b.ClearMapping(lpa)
 	return nil
-}
-
-// Contains reports whether lpa is mapped.
-func (b *Backend) Contains(lpa int64) bool {
-	_, ok := b.lookup(lpa)
-	return ok
-}
-
-// StreamOf returns the stream a mapped lpa belongs to.
-func (b *Backend) StreamOf(lpa int64) (storage.StreamID, bool) {
-	m, ok := b.lookup(lpa)
-	return m.stream, ok
 }
 
 // Locate reports where a mapped lpa physically lives in chip
 // coordinates, so the device layer's fault ladder works identically
 // over both backends.
 func (b *Backend) Locate(lpa int64) (ppa storage.PPA, stream storage.StreamID, dataLen int, ok bool) {
-	m, found := b.lookup(lpa)
+	m, found := b.Lookup(lpa)
 	if !found {
 		return storage.PPA{}, 0, 0, false
 	}
-	blk, page, err := b.dev.locate(&b.dev.zones[m.zone], m.idx)
+	blk, page, err := b.dev.locate(&b.dev.zones[m.Unit], m.Index)
 	if err != nil {
 		return storage.PPA{}, 0, 0, false
 	}
-	return storage.PPA{Block: blk, Page: page}, m.stream, m.dataLen, true
-}
-
-// MappedPages returns the number of live logical pages.
-func (b *Backend) MappedPages() int { return b.mapped }
-
-// runGC reclaims stale capacity at zone granularity. Fully-dead zones
-// reset first (no relocation destination needed), then one live victim
-// is drained and reset, preferring the requesting stream's zones.
-func (b *Backend) runGC(prefer storage.StreamID) {
-	startMoves, startRuns := b.gcMoves, b.gcRuns
-	defer func() {
-		if b.gcRuns != startRuns {
-			moves := b.gcMoves - startMoves
-			b.obs.Record(obs.Event{Kind: obs.EvGC, Stream: int(prefer), Aux: moves})
-			b.obs.ObserveGC(int(moves))
-		}
-	}()
-	swept := false
-	for z := range b.dev.zones {
-		zn := &b.dev.zones[z]
-		if zn.state != ZoneFull && zn.state != ZoneOpen {
-			continue
-		}
-		if b.isActive(z) || b.live[z] != 0 {
-			continue
-		}
-		if zn.wp == 0 && zn.state != ZoneFull {
-			continue
-		}
-		if err := b.resetZone(z); err == nil {
-			b.gcRuns++
-			swept = true
-		}
-	}
-	if swept && b.emptyZones() > b.gcLow {
-		return
-	}
-	victim := b.pickVictim(prefer)
-	if victim < 0 {
-		victim = b.pickVictim(-1)
-	}
-	// Dead-data-aware deferral: a victim holding mostly hot data (bins
-	// predicting imminent death) is parked — its pages will self-
-	// invalidate, so relocating them now is wasted wear. The decision is
-	// a pure function of OOB-persisted hints plus pool pressure, so a
-	// crash-rebuilt backend reaches it identically.
-	for victim >= 0 && b.deferVictim(victim) {
-		next := b.pickVictim(prefer)
-		if next < 0 {
-			next = b.pickVictim(-1)
-		}
-		victim = next
-	}
-	for _, z := range b.gcSkipped {
-		b.gcSkip[z] = false
-	}
-	b.gcSkipped = b.gcSkipped[:0]
-	if victim < 0 {
-		return
-	}
-	if err := b.reclaim(victim); err != nil {
-		// A reclaim failure (e.g. destination exhaustion) leaves the
-		// victim as-is; the caller will surface ErrNoSpace.
-		return
-	}
-	b.gcRuns++
-}
-
-// maxZoneParks caps consecutive deferrals of one zone, so parked hot
-// data cannot starve reclamation if predictions are wrong.
-const maxZoneParks = 4
-
-// deferVictim decides whether to park zone z instead of reclaiming it.
-// Parking is profitable when at least half the zone's live pages are
-// hot-binned: they are predicted to die (TRIM or overwrite) before the
-// relocation pays for itself. Never defers with no hinted writes (the
-// byte-identity fast path), for condemned zones, past the park cap, or
-// when the empty pool is nearly exhausted.
-func (b *Backend) deferVictim(z int) bool {
-	if b.hintedWrites == 0 {
-		return false
-	}
-	if b.condemned[z] || b.zparks[z] >= maxZoneParks {
-		return false
-	}
-	if b.emptyZones() <= b.reserve+1 {
-		return false // emergency: reclaim whatever we have
-	}
-	hot := 0
-	liveSeen := 0
-	base := z * b.zcap
-	wp := b.dev.zones[z].wp
-	for idx := 0; idx < wp; idx++ {
-		lpa := b.p2l[base+idx]
-		if lpa < 0 {
-			continue
-		}
-		liveSeen++
-		if b.l2p[lpa].hint == storage.HintHot {
-			hot++
-		}
-	}
-	if hot == 0 || hot*2 < liveSeen {
-		return false
-	}
-	b.zparks[z]++
-	b.deadSkipDefers++
-	b.deadSkipPages += int64(hot)
-	b.gcSkip[z] = true
-	b.gcSkipped = append(b.gcSkipped, z)
-	return true
-}
-
-// pickVictim chooses the zone with the most reclaimable space among
-// zones owned by stream id (or any if id < 0). Condemned zones drain
-// first. Wear-leveled streams score cost-benefit; others pure greedy —
-// wear deliberately ignored, as for SPARE blocks (§4.3).
-func (b *Backend) pickVictim(id storage.StreamID) int {
-	best := -1
-	bestScore := 0.0
-	for z := range b.dev.zones {
-		zn := &b.dev.zones[z]
-		if zn.state != ZoneFull && zn.state != ZoneOpen {
-			continue
-		}
-		if id >= 0 && b.owner[z] != id {
-			continue
-		}
-		if b.isActive(z) {
-			continue
-		}
-		if b.gcSkip[z] {
-			continue // parked this pass by deferVictim
-		}
-		if b.condemned[z] {
-			return z
-		}
-		stale := zn.wp - b.live[z]
-		if stale <= 0 {
-			continue
-		}
-		pol := &b.streams[b.owner[z]]
-		costBenefit := pol.GC == storage.GCCostBenefit ||
-			(pol.GC == storage.GCAuto && pol.WearLeveling)
-		score := float64(stale)
-		if costBenefit {
-			info, err := b.dev.Info(z)
-			if err != nil {
-				continue
-			}
-			score = float64(stale) / float64(b.live[z]+1) / (1 + info.MeanWear)
-		}
-		if score > bestScore {
-			bestScore = score
-			best = z
-		}
-	}
-	return best
-}
-
-// reclaim drains the victim's live pages in append order and resets
-// it. The live pages are read as per-block runs — a zone's blocks are
-// consecutive chip blocks, so append order visits each block (= one
-// plane) as a contiguous segment — then relocate in append order.
-func (b *Backend) reclaim(z int) error {
-	zn := &b.dev.zones[z]
-	base := z * b.zcap
-	r := &b.reloc
-	r.Reset()
-	for idx := 0; idx < zn.wp; idx++ {
-		lpa := b.p2l[base+idx]
-		if lpa < 0 {
-			continue
-		}
-		blk, page, err := b.dev.locate(zn, idx)
-		if err != nil {
-			return err
-		}
-		m := b.l2p[lpa]
-		r.Add(lpa, storage.PPA{Block: blk, Page: page}, b.streams[m.stream].Scheme, m.dataLen)
-	}
-	if r.Len() == 0 {
-		return b.resetZone(z)
-	}
-	b.relocRetries += r.Read(b.chip)
-	var err error
-	for k := 0; k < r.Len() && err == nil; k++ {
-		lpa, op := r.Page(k)
-		err = b.relocateFrom(lpa, b.l2p[lpa].stream, op)
-	}
-	r.Release(b.chip)
-	if err != nil {
-		return err
-	}
-	return b.resetZone(z)
+	return storage.PPA{Block: blk, Page: page}, m.Stream, m.DataLen, true
 }
 
 // resetZone resets a drained zone; the device applies wear policy and
@@ -807,110 +500,30 @@ func (b *Backend) reclaim(z int) error {
 // are capacity variance, reported via the callback.
 func (b *Backend) resetZone(z int) error {
 	zn := &b.dev.zones[z]
-	if b.live[z] != 0 {
-		return fmt.Errorf("zns: resetting zone %d with %d live pages", z, b.live[z])
+	u := &b.Units[z]
+	if u.Live != 0 {
+		return fmt.Errorf("zns: resetting zone %d with %d live pages", z, u.Live)
 	}
-	id := b.owner[z]
-	forceOffline := b.condemned[z]
 	if err := b.dev.Reset(z); err != nil {
 		return err
 	}
-	for i, a := range b.active {
-		if a == z {
-			b.active[i] = -1
-		}
-	}
-	if zn.state != ZoneOffline && forceOffline {
+	b.Deactivate(z)
+	if zn.state != ZoneOffline && u.Condemned {
 		b.dev.goOffline(zn)
 	}
-	b.condemned[z] = false
-	b.zhint[z] = storage.HintNone
-	b.zparks[z] = 0
+	// The owner stays: it labels the zone's events until it reopens.
+	u.Bin, u.Stale, u.Programmed, u.InUse, u.Condemned, u.Parks = storage.HintNone, 0, 0, false, false, 0
 	if zn.state == ZoneOffline {
-		b.notifyCapacity()
+		b.NotifyCapacity()
 		for _, blk := range zn.blocks {
 			b.obs.Record(obs.Event{Kind: obs.EvRetire, Block: blk})
 		}
 		return nil
 	}
 	for _, blk := range zn.blocks {
-		b.obs.Record(obs.Event{Kind: obs.EvErase, Block: blk, Stream: int(id)})
+		b.obs.Record(obs.Event{Kind: obs.EvErase, Block: blk, Stream: int(u.Owner)})
 	}
 	return nil
-}
-
-// relocate rewrites lpa into stream dst (same stream = GC/refresh,
-// different = promotion/demotion) as a one-page relocation, preserving
-// accumulated degradation — corruption crystallizes across moves
-// exactly as in the device FTL.
-func (b *Backend) relocate(lpa int64, dst storage.StreamID) error {
-	m, ok := b.lookup(lpa)
-	if !ok {
-		return storage.ErrUnknownLPA
-	}
-	blk, page, err := b.dev.locate(&b.dev.zones[m.zone], m.idx)
-	if err != nil {
-		return err
-	}
-	r := &b.reloc
-	r.Reset()
-	r.Add(lpa, storage.PPA{Block: blk, Page: page}, b.streams[m.stream].Scheme, m.dataLen)
-	b.relocRetries += r.Read(b.chip)
-	_, op := r.Page(0)
-	err = b.relocateFrom(lpa, dst, op)
-	r.Release(b.chip)
-	return err
-}
-
-// relocateFrom finishes a relocation whose source page op has been
-// read: the shared relocation step (storage.Relocation.Move), then a
-// pre-encoded append and remap.
-func (b *Backend) relocateFrom(lpa int64, dst storage.StreamID, op *flash.ReadOp) error {
-	m, ok := b.lookup(lpa)
-	if !ok {
-		return storage.ErrUnknownLPA
-	}
-	mv, err := b.reloc.Move(op, &b.streams[m.stream], b.streams[dst].Scheme, m.dataLen, m.baseFlips)
-	if err != nil {
-		return fmt.Errorf("zns: relocate %d/%d: %w", op.Block, op.Page, err)
-	}
-	if mv.Salvaged {
-		b.salvagedPages++
-		b.salvagedBytes += int64(m.dataLen)
-		b.obs.Record(obs.Event{Kind: obs.EvSalvage, LBA: lpa, Block: op.Block, Page: op.Page, Stream: int(m.stream), Aux: int64(m.dataLen)})
-	}
-	if mv.Degraded {
-		b.degradedReads++
-	}
-	// The digest is copied verbatim — never recomputed from the decoded
-	// payload — so corruption crystallized by this move stays detectable
-	// as a digest mismatch.
-	// The hint moves verbatim with the page, so same-bin data stays
-	// co-located across GC and demotion moves. appendCore stamps the
-	// serial once the destination zone is secured.
-	tag := flash.PageTag{LPA: lpa, Stream: uint8(dst), DataLen: int32(m.dataLen), Digest: m.digest, HasDigest: m.hasDigest, Hint: uint8(m.hint)}
-	z, idx, _, _, err := b.appendCore(mv.Stored, mv.StoredLen, tag, false)
-	if err != nil {
-		return err
-	}
-	b.gcMoves++
-	b.install(lpa, zmapping{zone: z, idx: idx, stream: dst, dataLen: m.dataLen, baseFlips: mv.BaseFlips, digest: m.digest, hasDigest: m.hasDigest, hint: m.hint})
-	return nil
-}
-
-// Relocate moves a logical page to a different stream. When zones are
-// exhausted it runs GC and retries once.
-func (b *Backend) Relocate(lpa int64, dst storage.StreamID) error {
-	defer b.flushCapacity()
-	if dst < 0 || int(dst) >= len(b.streams) {
-		return storage.ErrUnknownStream
-	}
-	err := b.relocate(lpa, dst)
-	if errors.Is(err, storage.ErrNoSpace) {
-		b.runGC(dst)
-		err = b.relocate(lpa, dst)
-	}
-	return err
 }
 
 // Quarantine condemns the zone containing the given chip block after
@@ -919,7 +532,7 @@ func (b *Backend) Relocate(lpa int64, dst storage.StreamID) error {
 // offline at reset regardless of wear. An empty condemned zone retires
 // immediately.
 func (b *Backend) Quarantine(blk int) error {
-	defer b.flushCapacity()
+	defer b.FlushCapacity()
 	if blk < 0 || blk >= b.chip.Blocks() {
 		return fmt.Errorf("zns: quarantine block %d: %w", blk, flash.ErrBadAddress)
 	}
@@ -931,78 +544,16 @@ func (b *Backend) Quarantine(blk int) error {
 	if zn.state == ZoneOffline {
 		return nil
 	}
-	b.condemned[z] = true
-	for i, a := range b.active {
-		if a == z {
-			b.active[i] = -1
-		}
-	}
+	b.Units[z].Condemned = true
+	b.Deactivate(z)
 	if zn.state == ZoneOpen {
 		zn.state = ZoneFull
 	}
-	b.obs.Record(obs.Event{Kind: obs.EvQuarantine, Block: blk, Stream: int(b.owner[z])})
-	if zn.state == ZoneEmpty || b.live[z] == 0 {
+	b.obs.Record(obs.Event{Kind: obs.EvQuarantine, Block: blk, Stream: int(b.Units[z].Owner)})
+	if zn.state == ZoneEmpty || b.Units[z].Live == 0 {
 		return b.resetZone(z)
 	}
 	return nil
-}
-
-// Scrub is the degradation monitor (§4.3) at zone granularity: live
-// pages whose modelled RBER exceeds their stream's retire threshold are
-// relocated, and zones fully drained by the pass are reset.
-func (b *Backend) Scrub(maxMoves int) (storage.ScrubReport, error) {
-	defer b.flushCapacity()
-	var rep storage.ScrubReport
-	// Walk the dense table in LPA order; no snapshot is needed because
-	// relocation rewrites existing entries in place and never maps new
-	// LPAs (matching the old sorted-snapshot order exactly).
-	dirty := make([]bool, len(b.dev.zones))
-	for lpa := int64(0); lpa < int64(len(b.l2p)); lpa++ {
-		m, ok := b.lookup(lpa)
-		if !ok {
-			continue
-		}
-		rep.PagesChecked++
-		blk, page, err := b.dev.locate(&b.dev.zones[m.zone], m.idx)
-		if err != nil {
-			continue
-		}
-		rber, err := b.chip.PageRBER(blk, page)
-		if err != nil {
-			continue
-		}
-		pol := &b.streams[m.stream]
-		threshold := pol.RetireRBER
-		if threshold == 0 {
-			threshold = storage.DefaultRetireRBER
-		}
-		if rber < threshold {
-			continue
-		}
-		if maxMoves > 0 && rep.PagesRelocated >= maxMoves {
-			break
-		}
-		if err := b.relocate(lpa, m.stream); err != nil {
-			return rep, err
-		}
-		dirty[m.zone] = true
-		rep.PagesRelocated++
-	}
-	for z := range b.dev.zones {
-		if !dirty[z] {
-			continue
-		}
-		zn := &b.dev.zones[z]
-		if (zn.state == ZoneFull || zn.state == ZoneOpen) && b.live[z] == 0 && !b.isActive(z) && zn.wp > 0 {
-			if err := b.resetZone(z); err != nil {
-				return rep, err
-			}
-			rep.BlocksFreed += b.dev.perZone
-		}
-	}
-	b.obs.Record(obs.Event{Kind: obs.EvScrub, Aux: int64(rep.PagesRelocated)})
-	b.obs.ObserveScrub(rep.PagesRelocated)
-	return rep, nil
 }
 
 // UsablePages returns the physical pages of non-offline zones in their
@@ -1043,35 +594,8 @@ func (b *Backend) Stats() storage.Stats {
 			empty++
 		}
 	}
-	return storage.Stats{
-		HostWrites:    b.hostWrites,
-		FlashPrograms: b.flashPrograms,
-		GCRuns:        b.gcRuns,
-		GCMoves:       b.gcMoves,
-		Retired:       int64(offline * b.dev.perZone),
-		DegradedReads: b.degradedReads,
-		ProgFailures:  b.progFailures,
-		RelocRetries:  b.relocRetries,
-		SalvagedPages: b.salvagedPages,
-		SalvagedBytes: b.salvagedBytes,
-		FreeBlocks:    empty * b.dev.perZone,
-		MappedPages:   b.mapped,
-	}
-}
-
-// WriteAmplification returns flash programs per host write.
-func (b *Backend) WriteAmplification() float64 {
-	if b.hostWrites == 0 {
-		return 0
-	}
-	return float64(b.flashPrograms) / float64(b.hostWrites)
-}
-
-// HintedWrites returns how many host writes carried a lifetime bin.
-func (b *Backend) HintedWrites() int64 { return b.hintedWrites }
-
-// DeadSkipStats reports dead-data-aware GC activity: victim deferrals
-// and the hot live pages those deferrals declined to relocate.
-func (b *Backend) DeadSkipStats() (defers, pages int64) {
-	return b.deadSkipDefers, b.deadSkipPages
+	st := b.Reclaimer.Stats()
+	st.Retired = int64(offline * b.dev.perZone)
+	st.FreeBlocks = empty * b.dev.perZone
+	return st
 }

@@ -184,11 +184,11 @@ func TestBackendQuarantineOfflinesZone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, ok := b.lookup(0)
+	m, ok := b.Lookup(0)
 	if !ok {
 		t.Fatal("lpa 0 unmapped")
 	}
-	victim := m.zone
+	victim := m.Unit
 	blk := b.dev.zones[victim].blocks[0]
 	before := b.UsablePages()
 	var notified int
@@ -196,10 +196,11 @@ func TestBackendQuarantineOfflinesZone(t *testing.T) {
 	if err := b.Quarantine(blk); err != nil {
 		t.Fatal(err)
 	}
-	// Force the drain: condemned zones are preferred victims. runGC is
-	// internal, so deliver the deferred capacity notification by hand.
-	b.runGC(1)
-	b.flushCapacity()
+	// Force the drain: condemned zones are preferred victims. RunGC is
+	// no public operation, so deliver the deferred capacity notification
+	// by hand.
+	b.RunGC(1)
+	b.FlushCapacity()
 	if b.dev.zones[victim].state != ZoneOffline {
 		t.Fatalf("condemned zone state %v", b.dev.zones[victim].state)
 	}
@@ -287,21 +288,21 @@ func TestBackendRecoverAfterOffline(t *testing.T) {
 	if err := b.Write(1, bytes.Repeat([]byte{1}, 64), 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := b.lookup(1)
-	if err := b.Quarantine(b.dev.zones[m.zone].blocks[0]); err != nil {
+	m, _ := b.Lookup(1)
+	if err := b.Quarantine(b.dev.zones[m.Unit].blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	b.runGC(1)
-	if b.dev.zones[m.zone].state != ZoneOffline {
-		t.Fatalf("zone not offline: %v", b.dev.zones[m.zone].state)
+	b.RunGC(1)
+	if b.dev.zones[m.Unit].state != ZoneOffline {
+		t.Fatalf("zone not offline: %v", b.dev.zones[m.Unit].state)
 	}
 	nb, err := b.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	znb := nb.(*Backend)
-	if znb.dev.zones[m.zone].state != ZoneOffline {
-		t.Fatalf("offline zone resurrected as %v", znb.dev.zones[m.zone].state)
+	if znb.dev.zones[m.Unit].state != ZoneOffline {
+		t.Fatalf("offline zone resurrected as %v", znb.dev.zones[m.Unit].state)
 	}
 	if znb.UsablePages() != b.UsablePages() {
 		t.Fatalf("capacity changed across recovery: %d -> %d", b.UsablePages(), znb.UsablePages())
@@ -320,13 +321,13 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("clean backend rejected: %v", err)
 	}
-	m, _ := b.lookup(1)
-	b.live[m.zone]++ // desync live count
+	m, _ := b.Lookup(1)
+	b.Units[m.Unit].Live++ // desync live count
 	if err := b.CheckInvariants(); err == nil {
 		t.Fatal("live-count desync undetected")
 	}
-	b.live[m.zone]--
-	b.p2l[b.pidx(m.zone, m.idx)] = -1 // break the inverse
+	b.Units[m.Unit].Live--
+	b.P2L[b.PageIndex(m.Unit, m.Index)] = -1 // break the inverse
 	if err := b.CheckInvariants(); err == nil {
 		t.Fatal("p2l hole undetected")
 	}

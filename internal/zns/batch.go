@@ -3,7 +3,6 @@ package zns
 import (
 	"sync"
 
-	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/storage"
 )
@@ -18,17 +17,13 @@ import (
 // is a pure function of the bytes, and the chip sees the same op
 // sequence at every queue and worker count.
 
-// encSlot is per-op encode bookkeeping: the op's slot in its queue
-// arena. n < 0 marks an op rejected by validation; n == 0 marks an
-// accounting-only op (nothing to encode).
-type encSlot struct {
-	off int
-	n   int
-}
-
 // batchScratch is WriteBatch's reusable state.
 type batchScratch struct {
-	enc    []encSlot
+	// encN is each op's codeword size from storage.ValidateBatch (-1 for
+	// a reject, 0 for an accounting-only op), off its span's offset in
+	// its queue's arena.
+	encN   []int
+	off    []int
 	stored [][]byte // per-op encoded payload (aliases arenas)
 	arenas [][]byte // per-queue encode arenas
 	qsize  []int
@@ -40,7 +35,7 @@ type batchScratch struct {
 // across and workers bounds goroutine use. Results are identical for
 // every (queues, workers) pair.
 func (b *Backend) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, queues, workers int) {
-	defer b.flushCapacity()
+	defer b.FlushCapacity()
 	b.writeBatch(ops, fates, queues, workers)
 }
 
@@ -61,14 +56,11 @@ func (b *Backend) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, q
 	b.encodeBatch(ops, fates, queues, workers)
 
 	for i := range ops {
-		if b.bs.enc[i].n < 0 {
+		if b.bs.encN[i] < 0 {
 			continue // rejected by validation/encode; fate already set
 		}
 		op := &ops[i]
-		dataLen := op.DataLen
-		if op.Data != nil {
-			dataLen = len(op.Data)
-		}
+		dataLen := op.PayloadLen()
 		stored := b.bs.stored[i]
 		storedLen := len(stored)
 		if op.Data == nil {
@@ -82,11 +74,11 @@ func (b *Backend) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, q
 			fates[i] = storage.BatchFate{Err: err, Block: -1, Page: -1}
 			continue
 		}
-		b.hostWrites++
+		b.HostWrites++
 		if op.Hint != storage.HintNone {
-			b.hintedWrites++
+			b.Hinted++
 		}
-		b.install(op.LPA, zmapping{zone: z, idx: idx, stream: op.Stream, dataLen: dataLen, digest: op.Digest, hasDigest: op.HasDigest, hint: op.Hint})
+		b.install(op.LPA, storage.Mapping{Unit: z, Index: idx, Stream: op.Stream, DataLen: dataLen, Digest: op.Digest, HasDigest: op.HasDigest, Hint: op.Hint})
 		fates[i] = storage.BatchFate{Block: blk, Page: page}
 	}
 }
@@ -95,8 +87,9 @@ func (b *Backend) writeBatch(ops []storage.BatchOp, fates []storage.BatchFate, q
 // over the given queue count.
 func (b *Backend) ensureBatchScratch(n, queues int) {
 	bs := &b.bs
-	if cap(bs.enc) < n {
-		bs.enc = make([]encSlot, n)
+	if cap(bs.encN) < n {
+		bs.encN = make([]int, n)
+		bs.off = make([]int, n)
 	}
 	if cap(bs.stored) < n {
 		bs.stored = make([][]byte, n)
@@ -109,54 +102,32 @@ func (b *Backend) ensureBatchScratch(n, queues int) {
 	}
 }
 
-// encodeBatch validates every op and runs the encode phase: per-queue
-// ECC encode into per-queue arenas, parallel across queues when workers
-// allow. Rejected ops get their fate set here and are skipped by the
-// append pass. Payloads encode through their stream's scheme — by name
-// the zone attribute's (NewBackend enforces it) — so the append hands
-// the device a finished page.
+// encodeBatch validates every op (storage.ValidateBatch) and runs the
+// encode phase: per-queue ECC encode into per-queue arenas, parallel
+// across queues when workers allow. Rejected ops get their fate set
+// here and are skipped by the append pass. Payloads encode through
+// their stream's scheme — by name the zone attribute's (NewBackend
+// enforces it) — so the append hands the device a finished page.
 func (b *Backend) encodeBatch(ops []storage.BatchOp, fates []storage.BatchFate, queues, workers int) {
 	bs := &b.bs
-	enc := bs.enc[:len(ops)]
+	encN := bs.encN[:len(ops)]
+	storage.ValidateBatch(ops, fates, b.streams, b.logicalSz, encN)
 	stored := bs.stored[:len(ops)]
 	qsize := bs.qsize[:queues]
 	for q := range qsize {
 		qsize[q] = 0
 	}
 	for i := range ops {
-		op := &ops[i]
-		fates[i] = storage.BatchFate{Block: -1, Page: -1}
 		stored[i] = nil
-		if op.Stream < 0 || int(op.Stream) >= len(b.streams) {
-			fates[i].Err = storage.ErrUnknownStream
-			enc[i] = encSlot{n: -1}
+		if encN[i] <= 0 {
 			continue
 		}
-		if op.LPA < 0 {
-			fates[i].Err = storage.ErrBadLPA
-			enc[i] = encSlot{n: -1}
-			continue
-		}
-		dataLen := op.DataLen
-		if op.Data != nil {
-			dataLen = len(op.Data)
-		}
-		if dataLen <= 0 || dataLen > b.logicalSz {
-			fates[i].Err = storage.ErrPayloadSize
-			enc[i] = encSlot{n: -1}
-			continue
-		}
-		if op.Data == nil {
-			enc[i] = encSlot{n: 0}
-			continue
-		}
-		n := ecc.StoredLen(b.streams[op.Stream].Scheme, dataLen)
-		q := op.Queue
+		q := ops[i].Queue
 		if q < 0 || q >= queues {
 			q = 0
 		}
-		enc[i] = encSlot{off: qsize[q], n: n}
-		qsize[q] += n
+		bs.off[i] = qsize[q]
+		qsize[q] += encN[i]
 	}
 	for q := 0; q < queues; q++ {
 		if cap(bs.arenas[q]) < qsize[q] {
@@ -198,14 +169,14 @@ func (b *Backend) encodeQueue(ops []storage.BatchOp, fates []storage.BatchFate, 
 		if oq < 0 || oq >= queues {
 			oq = 0
 		}
-		if oq != q || bs.enc[i].n <= 0 {
+		if oq != q || bs.encN[i] <= 0 {
 			continue
 		}
-		dst := arena[bs.enc[i].off : bs.enc[i].off+bs.enc[i].n]
+		dst := arena[bs.off[i] : bs.off[i]+bs.encN[i]]
 		n, err := b.streams[op.Stream].Scheme.EncodeInto(dst, op.Data)
 		if err != nil {
 			fates[i].Err = err
-			bs.enc[i].n = -1
+			bs.encN[i] = -1
 			continue
 		}
 		bs.stored[i] = dst[:n]

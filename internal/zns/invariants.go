@@ -15,6 +15,9 @@ import (
 //
 // Checked:
 //   - l2p and p2l are exact inverses; per-zone live counts match.
+//   - Each zone's reclaim-policy unit mirrors it: programmed pages equal
+//     the write pointer, stale pages the rest of them, and in-use means
+//     open or full.
 //   - Mapped pages live below their zone's write pointer with
 //     consistent recorded lengths.
 //   - Write-pointer monotonicity: each zone's wp equals the sum of its
@@ -29,51 +32,51 @@ func CheckInvariants(b *Backend) error {
 	// Mapping tables are inverses.
 	live := 0
 	liveCount := make([]int, len(d.zones))
-	for lpa := int64(0); lpa < int64(len(b.l2p)); lpa++ {
-		m := b.l2p[lpa]
-		if m.dataLen == 0 {
+	for lpa := int64(0); lpa < int64(len(b.L2P)); lpa++ {
+		m := b.L2P[lpa]
+		if m.DataLen == 0 {
 			continue
 		}
 		live++
-		if m.zone < 0 || m.zone >= len(d.zones) {
-			return fmt.Errorf("zns: lpa %d maps to zone %d of %d", lpa, m.zone, len(d.zones))
+		if m.Unit < 0 || m.Unit >= len(d.zones) {
+			return fmt.Errorf("zns: lpa %d maps to zone %d of %d", lpa, m.Unit, len(d.zones))
 		}
-		zn := &d.zones[m.zone]
+		zn := &d.zones[m.Unit]
 		if zn.state != ZoneOpen && zn.state != ZoneFull {
-			return fmt.Errorf("zns: lpa %d lives in %v zone %d", lpa, zn.state, m.zone)
+			return fmt.Errorf("zns: lpa %d lives in %v zone %d", lpa, zn.state, m.Unit)
 		}
-		if m.idx < 0 || m.idx >= zn.wp {
-			return fmt.Errorf("zns: lpa %d at zone %d idx %d beyond wp %d", lpa, m.zone, m.idx, zn.wp)
+		if m.Index < 0 || m.Index >= zn.wp {
+			return fmt.Errorf("zns: lpa %d at zone %d idx %d beyond wp %d", lpa, m.Unit, m.Index, zn.wp)
 		}
-		if m.dataLen != zn.lens[m.idx] {
-			return fmt.Errorf("zns: lpa %d length %d disagrees with zone record %d", lpa, m.dataLen, zn.lens[m.idx])
+		if m.DataLen != zn.lens[m.Index] {
+			return fmt.Errorf("zns: lpa %d length %d disagrees with zone record %d", lpa, m.DataLen, zn.lens[m.Index])
 		}
-		if int(m.stream) < 0 || int(m.stream) >= len(b.streams) {
-			return fmt.Errorf("zns: lpa %d on unknown stream %d", lpa, m.stream)
+		if int(m.Stream) < 0 || int(m.Stream) >= len(b.streams) {
+			return fmt.Errorf("zns: lpa %d on unknown stream %d", lpa, m.Stream)
 		}
-		idx := b.pidx(m.zone, m.idx)
-		if idx < 0 || idx >= len(b.p2l) {
-			return fmt.Errorf("zns: lpa %d (zone %d idx %d) outside the physical address space", lpa, m.zone, m.idx)
+		idx := b.PageIndex(m.Unit, m.Index)
+		if idx < 0 || idx >= len(b.P2L) {
+			return fmt.Errorf("zns: lpa %d (zone %d idx %d) outside the physical address space", lpa, m.Unit, m.Index)
 		}
-		if back := b.p2l[idx]; back != lpa {
-			return fmt.Errorf("zns: l2p/p2l disagree at lpa %d (zone %d idx %d)", lpa, m.zone, m.idx)
+		if back := b.P2L[idx]; back != lpa {
+			return fmt.Errorf("zns: l2p/p2l disagree at lpa %d (zone %d idx %d)", lpa, m.Unit, m.Index)
 		}
-		liveCount[m.zone]++
+		liveCount[m.Unit]++
 	}
-	if live != b.mapped {
-		return fmt.Errorf("zns: mapped count %d but %d live l2p entries", b.mapped, live)
+	if live != b.MappedPages() {
+		return fmt.Errorf("zns: mapped count %d but %d live l2p entries", b.MappedPages(), live)
 	}
 	reverse := 0
-	for idx, lpa := range b.p2l {
+	for idx, lpa := range b.P2L {
 		if lpa < 0 {
 			continue
 		}
 		reverse++
 		zone, zidx := idx/b.zcap, idx%b.zcap
-		if lpa >= int64(len(b.l2p)) || b.l2p[lpa].dataLen == 0 {
+		if lpa >= int64(len(b.L2P)) || b.L2P[lpa].DataLen == 0 {
 			return fmt.Errorf("zns: p2l entry zone %d idx %d -> lpa %d has no live forward mapping", zone, zidx, lpa)
 		}
-		if m := b.l2p[lpa]; m.zone != zone || m.idx != zidx {
+		if m := b.L2P[lpa]; m.Unit != zone || m.Index != zidx {
 			return fmt.Errorf("zns: p2l entry zone %d idx %d -> lpa %d has no matching l2p", zone, zidx, lpa)
 		}
 	}
@@ -81,8 +84,13 @@ func CheckInvariants(b *Backend) error {
 		return fmt.Errorf("zns: l2p has %d live entries, p2l has %d", live, reverse)
 	}
 	for z := range d.zones {
-		if liveCount[z] != b.live[z] {
-			return fmt.Errorf("zns: zone %d live count %d, mappings say %d", z, b.live[z], liveCount[z])
+		zn, u := &d.zones[z], &b.Units[z]
+		if liveCount[z] != u.Live {
+			return fmt.Errorf("zns: zone %d live count %d, mappings say %d", z, u.Live, liveCount[z])
+		}
+		if u.Programmed != zn.wp || u.Stale != zn.wp-u.Live || u.InUse != (zn.state == ZoneOpen || zn.state == ZoneFull) {
+			return fmt.Errorf("zns: %v zone %d with wp %d has unit programmed=%d live=%d stale=%d in-use=%v",
+				zn.state, z, zn.wp, u.Programmed, u.Live, u.Stale, u.InUse)
 		}
 	}
 
@@ -90,8 +98,8 @@ func CheckInvariants(b *Backend) error {
 	for z := range d.zones {
 		zn := &d.zones[z]
 		if zn.state == ZoneOffline {
-			if b.live[z] != 0 {
-				return fmt.Errorf("zns: offline zone %d holds %d live pages", z, b.live[z])
+			if b.Units[z].Live != 0 {
+				return fmt.Errorf("zns: offline zone %d holds %d live pages", z, b.Units[z].Live)
 			}
 			for _, blk := range zn.blocks {
 				info, err := b.chip.Info(blk)
@@ -141,14 +149,14 @@ func CheckInvariants(b *Backend) error {
 			if zn.wp != 0 {
 				return fmt.Errorf("zns: empty zone %d has wp %d", z, zn.wp)
 			}
-			if b.live[z] != 0 {
-				return fmt.Errorf("zns: empty zone %d holds %d live pages", z, b.live[z])
+			if b.Units[z].Live != 0 {
+				return fmt.Errorf("zns: empty zone %d holds %d live pages", z, b.Units[z].Live)
 			}
 		}
 	}
 
 	// Append targets: active is indexed per (stream, bin) slot.
-	for slot, z := range b.active {
+	for slot, z := range b.Active {
 		if z < 0 {
 			continue
 		}
@@ -161,16 +169,17 @@ func CheckInvariants(b *Backend) error {
 		if zn.state != ZoneOpen {
 			return fmt.Errorf("zns: stream %d/%v active zone %d is %v", id, h, z, zn.state)
 		}
-		if b.owner[z] != storage.StreamID(id) {
-			return fmt.Errorf("zns: stream %d/%v active zone %d owned by stream %d", id, h, z, b.owner[z])
+		u := &b.Units[z]
+		if u.Owner != storage.StreamID(id) {
+			return fmt.Errorf("zns: stream %d/%v active zone %d owned by stream %d", id, h, z, u.Owner)
 		}
-		if b.zhint[z] != h {
-			return fmt.Errorf("zns: stream %d/%v active zone %d holds bin %v", id, h, z, b.zhint[z])
+		if u.Bin != h {
+			return fmt.Errorf("zns: stream %d/%v active zone %d holds bin %v", id, h, z, u.Bin)
 		}
 		if zn.attr != b.attrs[id] {
 			return fmt.Errorf("zns: stream %d/%v active zone %d has attribute %v, want %v", id, h, z, zn.attr, b.attrs[id])
 		}
-		if b.condemned[z] {
+		if u.Condemned {
 			return fmt.Errorf("zns: stream %d/%v active zone %d is condemned", id, h, z)
 		}
 	}

@@ -132,7 +132,7 @@ func (nb *Backend) rebuild() error {
 				// Zones hold a single bin by construction; any tag's hint
 				// identifies the zone's bin after a crash.
 				if int(tag.Hint) < storage.NumLifetimeHints {
-					nb.zhint[z] = storage.LifetimeHint(tag.Hint)
+					nb.Units[z].Bin = storage.LifetimeHint(tag.Hint)
 				}
 				if tag.Serial > zmax[z] {
 					zmax[z] = tag.Serial
@@ -169,11 +169,11 @@ func (nb *Backend) rebuild() error {
 		// The zone's attribute: authoritative from the tags' stream,
 		// else inferred from the blocks' persisted operating mode.
 		if sawStream >= 0 {
-			nb.owner[z] = sawStream
+			nb.Units[z].Owner = sawStream
 			zn.attr = nb.attrs[sawStream]
 		} else if attr, ok := nb.attrFromMode(zn.blocks[0]); ok {
 			zn.attr = attr
-			nb.owner[z] = nb.streamForAttr(attr)
+			nb.Units[z].Owner = nb.streamForAttr(attr)
 		}
 		info, err := d.Info(z)
 		if err != nil {
@@ -191,9 +191,16 @@ func (nb *Backend) rebuild() error {
 		if w.serial == 0 {
 			continue
 		}
-		nb.install(lpa, zmapping{zone: w.zone, idx: w.idx, stream: w.stream, dataLen: w.dataLen, digest: w.digest, hasDigest: w.hasDigest, hint: w.hint})
+		nb.install(lpa, storage.Mapping{Unit: w.zone, Index: w.idx, Stream: w.stream, DataLen: w.dataLen, Digest: w.digest, HasDigest: w.hasDigest, Hint: w.hint})
 	}
 	nb.writeSerial = maxSerial
+	// Every written page that lost its election (or was torn) is stale.
+	for z := range d.zones {
+		zn, u := &d.zones[z], &nb.Units[z]
+		u.InUse = zn.state == ZoneOpen || zn.state == ZoneFull
+		u.Programmed = zn.wp
+		u.Stale = zn.wp - u.Live
+	}
 
 	// Adopt the most recently written partially-filled zone per
 	// (stream, bin) slot as its append target; seal any other partial
@@ -205,7 +212,7 @@ func (nb *Backend) rebuild() error {
 			best := -1
 			var bestSerial uint64
 			for z := range d.zones {
-				if d.zones[z].state != ZoneOpen || nb.owner[z] != storage.StreamID(id) || nb.zhint[z] != hint {
+				if u := &nb.Units[z]; d.zones[z].state != ZoneOpen || u.Owner != storage.StreamID(id) || u.Bin != hint {
 					continue
 				}
 				if best < 0 || zmax[z] > bestSerial {
@@ -215,15 +222,15 @@ func (nb *Backend) rebuild() error {
 			if best < 0 {
 				continue
 			}
-			nb.active[aidx(storage.StreamID(id), hint)] = best
+			nb.Active[storage.ActiveSlot(storage.StreamID(id), hint)] = best
 			for z := range d.zones {
-				if z != best && d.zones[z].state == ZoneOpen && nb.owner[z] == storage.StreamID(id) && nb.zhint[z] == hint {
+				if u := &nb.Units[z]; z != best && d.zones[z].state == ZoneOpen && u.Owner == storage.StreamID(id) && u.Bin == hint {
 					d.zones[z].state = ZoneFull
 				}
 			}
 		}
 	}
-	nb.obs.Record(obs.Event{Kind: obs.EvRebuild, Aux: int64(nb.mapped)})
+	nb.obs.Record(obs.Event{Kind: obs.EvRebuild, Aux: int64(nb.MappedPages())})
 	return nil
 }
 
