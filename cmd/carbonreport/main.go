@@ -55,18 +55,6 @@ func main() {
 	flag.IntVar(&opts.FleetShards, "fleet-shards", 0, "simulate a real device fleet with this many shards (0 = off)")
 	flag.IntVar(&opts.FleetDays, "fleet-days", 7, "with -fleet-shards: simulated days to advance the fleet")
 	flag.Uint64Var(&opts.FleetSeed, "fleet-seed", 21, "with -fleet-shards: fleet seed")
-	// -queues/-planes exist for CLI parity with sossim: carbonreport is
-	// pure carbon arithmetic and never builds a device, so they are
-	// accepted no-ops — output is byte-identical at every value.
-	flag.Int("queues", 1, "accepted for CLI parity; carbon arithmetic has no datapath")
-	flag.Int("planes", 0, "accepted for CLI parity; carbon arithmetic has no datapath")
-	flag.Int("read-workers", 1, "accepted for CLI parity; carbon arithmetic has no datapath")
-	flag.Bool("audit", false, "accepted for CLI parity; carbon arithmetic stores no data to audit")
-	flag.Int("scrub-budget", 0, "accepted for CLI parity; carbon arithmetic stores no data to audit")
-	// TextVar (not a no-op string) so the flag rejects bad names with the
-	// same error sossim's -placement does.
-	var placement sos.Placement
-	flag.TextVar(&placement, "placement", sos.PlacementOff, "accepted for CLI parity; carbon arithmetic places no data")
 	flag.BoolVar(&opts.Metrics, "metrics", false, "print the Prometheus text exposition instead of the report")
 	flag.StringVar(&opts.TraceFile, "trace", "", "write milestone events (JSON lines) to this file")
 	flag.Parse()

@@ -105,9 +105,8 @@ func TestRunMetrics(t *testing.T) {
 }
 
 // TestRunByteIdenticalAcrossWorkers pins the full report (human and
-// metrics modes) byte-identical across -parallel values — the same
-// guarantee behind the accepted no-op -queues/-planes flags: carbon
-// arithmetic has no datapath, so concurrency knobs never change output.
+// metrics modes) byte-identical across -parallel values: the worker
+// count changes only wall-clock time, never output.
 func TestRunByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, metrics := range []bool{false, true} {
 		var ref []byte
@@ -176,17 +175,12 @@ func registeredFlags(t *testing.T, path string) map[string]bool {
 	return names
 }
 
-// TestDatapathFlagParity pins the shared datapath flag vocabulary
-// across both CLIs: every knob that shapes (or, for carbonreport,
-// deliberately no-ops on) the simulated datapath must be spelled the
-// same in sossim and carbonreport, so fleet scripts can pass one flag
-// set to either tool.
+// TestDatapathFlagParity pins the flag vocabulary both CLIs share: the
+// backend, exposition, trace and worker knobs must be spelled the same
+// in sossim and carbonreport, so fleet scripts can pass them to either
+// tool.
 func TestDatapathFlagParity(t *testing.T) {
-	shared := []string{
-		"backend", "queues", "planes", "read-workers",
-		"audit", "scrub-budget", "placement",
-		"metrics", "trace", "parallel",
-	}
+	shared := []string{"backend", "metrics", "trace", "parallel"}
 	carbon := registeredFlags(t, "main.go")
 	sossim := registeredFlags(t, filepath.Join("..", "sossim", "main.go"))
 	for _, name := range shared {

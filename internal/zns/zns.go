@@ -92,9 +92,10 @@ type Config struct {
 	// the chip's technology.
 	Durable *AttrPolicy
 	Approx  *AttrPolicy
-	// WearRetireFrac offlines a zone whose mean wear passes this
-	// fraction at reset time (default 1.0 durable / 1.15 approximate —
-	// approximate zones run past their rating like SOS SPARE does).
+	// DurableRetireFrac and ApproxRetireFrac offline a zone of that
+	// attribute whose mean wear passes the fraction at reset time
+	// (default 1.0 durable / 1.15 approximate — approximate zones run
+	// past their rating like SOS SPARE does).
 	DurableRetireFrac float64
 	ApproxRetireFrac  float64
 }
@@ -345,10 +346,10 @@ func (d *Device) Finish(z int) error {
 	return nil
 }
 
-// Reset erases a zone back to empty. Zones whose mean wear passed the
-// attribute's retirement fraction go offline instead (and stay
-// readable... no: an erased zone holds nothing — offline zones are
-// empty and unusable; hosts must copy data out before resetting).
+// Reset erases a zone back to empty. A zone whose mean wear passed its
+// attribute's retirement fraction, or whose erase failed, goes offline
+// instead. Either way the erase leaves nothing addressable, so hosts
+// copy live data out before resetting.
 func (d *Device) Reset(z int) error {
 	if z < 0 || z >= len(d.zones) {
 		return ErrBadZone

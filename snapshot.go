@@ -50,7 +50,7 @@ func (s *System) Snapshot() Snapshot {
 		Device:  s.Device.Smart(),
 		Engine:  s.Engine.Stats(),
 		Files:   s.Engine.Files(),
-		Obs:     s.Obs.Snapshot(),
+		Obs:     s.obs.Snapshot(),
 	}
 	if a := s.Engine.Auditor(); a != nil {
 		st := a.Stats()

@@ -227,22 +227,18 @@ type System struct {
 	FS         *fs.FS
 	Engine     *core.Engine
 	Classifier classify.Classifier
-	// Obs is the shared observability recorder, nil unless observing.
-	//
-	// Deprecated: read telemetry through Snapshot() and trace events
-	// through Events(); construct with NewSystem(WithObserve()). The
-	// field remains for compatibility with pre-fleet callers.
-	Obs *obs.Recorder
+	// obs is the shared observability recorder, nil unless observing;
+	// Snapshot() and Events() read it.
+	obs *obs.Recorder
 }
 
 // Events returns the recorded telemetry event trace, or nil when the
-// system was built without WithObserve / Config.Observe. It replaces
-// direct pokes at the deprecated Obs field.
+// system was built without WithObserve / Config.Observe.
 func (s *System) Events() []obs.Event {
-	if s.Obs == nil {
+	if s.obs == nil {
 		return nil
 	}
-	return s.Obs.Events()
+	return s.obs.Events()
 }
 
 // New builds a System from a flat Config. It is equivalent to
@@ -360,7 +356,7 @@ func build(cfg Config) (*System, error) {
 	}
 	return &System{
 		Config: cfg, Clock: clock, Device: dev, FS: fsys,
-		Engine: eng, Classifier: cls, Obs: rec,
+		Engine: eng, Classifier: cls, obs: rec,
 	}, nil
 }
 
