@@ -274,8 +274,8 @@ func BenchmarkRSDecodeCorrupt4K(b *testing.B) {
 }
 
 // densePage4K is a fixed xorshift-filled 4 KiB page: real payload, whose
-// codewords take the dense remainder kernel rather than the sparse path
-// the zero-filled pages above exercise.
+// codewords run the remainder kernel end to end, where the zero-filled
+// pages above skip their leading zero words.
 func densePage4K() []byte {
 	page := make([]byte, 4096)
 	x := uint64(0x9e3779b97f4a7c15)

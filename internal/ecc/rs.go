@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ErrUncorrectable reports that a codeword held more errors than the code
@@ -16,14 +17,26 @@ var ErrUncorrectable = errors.New("ecc: uncorrectable codeword")
 // are data||parity with len(data)+nparity <= 255.
 type RS struct {
 	nparity int
-	// remTab[f] is f·gen[1..nparity] packed big-endian into four words
-	// and zero-padded at the low end: the row the remainder register
-	// XORs in after shifting out a top byte with feedback f.
-	remTab [256][4]uint64
+	tab     *sliceTab // shared by every RS with this parity count
 }
 
 // maxParity is the widest parity the four-word remainder register holds.
 const maxParity = 32
+
+// sliceTab is the remainder register's eight row tables for one
+// generator, 64 KiB. tab[0][f] is f·gen[1..nparity] packed big-endian
+// into four words and zero-padded at the low end: the row the register
+// XORs in after shifting out a top byte with feedback f. tab[k][f] is
+// tab[k-1][f] advanced through one zero data byte: what feedback f
+// contributes when k more bytes follow it in an 8-byte step.
+type sliceTab [8][256][4]uint64
+
+// sliceTabs holds each parity count's tables, built on first use and
+// then shared, so NewRS allocates only the RS itself.
+var sliceTabs [maxParity + 1]struct {
+	once sync.Once
+	tab  *sliceTab
+}
 
 // NewRS returns a Reed-Solomon coder with the given number of parity
 // bytes, in [1, 32]; even values give a sensible correction budget, odd
@@ -32,8 +45,14 @@ func NewRS(nparity int) (*RS, error) {
 	if nparity < 1 || nparity > maxParity {
 		return nil, fmt.Errorf("ecc: invalid parity count %d", nparity)
 	}
-	// gen = Π(x - α^i) for i < nparity, highest-degree first, built in
-	// place one factor at a time.
+	s := &sliceTabs[nparity]
+	s.once.Do(func() { s.tab = newSliceTab(nparity) })
+	return &RS{nparity: nparity, tab: s.tab}, nil
+}
+
+// newSliceTab builds the row tables for gen = Π(x - α^i), i < nparity.
+func newSliceTab(nparity int) *sliceTab {
+	// gen is highest-degree first, built in place one factor at a time.
 	var gen [maxParity + 1]byte
 	gen[0] = 1
 	for i := 0; i < nparity; i++ {
@@ -41,21 +60,34 @@ func NewRS(nparity int) (*RS, error) {
 			gen[j] ^= gfMul(gen[j-1], gfExp[i])
 		}
 	}
-	r := &RS{nparity: nparity}
+	t := new(sliceTab)
+	t0 := &t[0]
 	// Multiplying by f is GF(2)-linear in f: build the single-bit rows,
 	// then row f is row f&(f-1) XOR row f&-f, both built before it
 	// (single-bit rows XOR the zero row 0 and stay as built).
 	for b := 0; b < 8; b++ {
-		row := &r.remTab[1<<b]
+		row := &t0[1<<b]
 		for j := 0; j < nparity; j++ {
 			row[j/8] |= uint64(gfMulTab[1<<b][gen[j+1]]) << (56 - 8*(j%8))
 		}
 	}
 	for f := 1; f < 256; f++ {
-		hi, lo := &r.remTab[f&(f-1)], &r.remTab[f&-f]
-		r.remTab[f] = [4]uint64{hi[0] ^ lo[0], hi[1] ^ lo[1], hi[2] ^ lo[2], hi[3] ^ lo[3]}
+		hi, lo := &t0[f&(f-1)], &t0[f&-f]
+		t0[f] = [4]uint64{hi[0] ^ lo[0], hi[1] ^ lo[1], hi[2] ^ lo[2], hi[3] ^ lo[3]}
 	}
-	return r, nil
+	for k := 1; k < 8; k++ {
+		for f := range t[k] {
+			w := &t[k-1][f]
+			row := &t0[byte(w[0]>>56)]
+			t[k][f] = [4]uint64{
+				(w[0]<<8 | w[1]>>56) ^ row[0],
+				(w[1]<<8 | w[2]>>56) ^ row[1],
+				(w[2]<<8 | w[3]>>56) ^ row[2],
+				w[3]<<8 ^ row[3],
+			}
+		}
+	}
+	return t
 }
 
 // ParityBytes returns the per-codeword parity overhead.
@@ -89,18 +121,33 @@ func (r *RS) encodeInto(cw, data []byte) {
 
 // remainder returns data·x^nparity mod gen, highest-degree first in the
 // first nparity bytes (the rest are zero): the parity systematic
-// encoding appends to data. It runs a 256-bit shift register, one table
-// row per data byte: the feedback is the byte XOR the register's top
-// byte, the register shifts left a byte and XORs in the feedback's row.
+// encoding appends to data. It runs a 256-bit shift register. One data
+// byte shifts the register left a byte and XORs in the row of its
+// feedback, the byte XOR the register's top byte. Eight bytes at a time
+// that is one step: XOR the next 8 bytes, big-endian, into the top word
+// x, shift the register left a word and XOR in tab[7][x₀] … tab[0][x₇].
+// The step is linear in the register and the data, so each byte of x
+// contributes its own row independently; the eight loads do not wait on
+// each other. The last len(data) mod 8 bytes take the byte step.
 func (r *RS) remainder(data []byte) (rem [maxParity]byte) {
 	// A zero register stays zero through zero bytes: skip the leading
 	// zero run a word at a time.
 	for len(data) >= 8 && binary.LittleEndian.Uint64(data) == 0 {
 		data = data[8:]
 	}
+	t := r.tab
 	var w0, w1, w2, w3 uint64
+	for ; len(data) >= 8; data = data[8:] {
+		x := w0 ^ binary.BigEndian.Uint64(data)
+		r7, r6, r5, r4 := &t[7][x>>56], &t[6][byte(x>>48)], &t[5][byte(x>>40)], &t[4][byte(x>>32)]
+		r3, r2, r1, r0 := &t[3][byte(x>>24)], &t[2][byte(x>>16)], &t[1][byte(x>>8)], &t[0][byte(x)]
+		w0 = w1 ^ r7[0] ^ r6[0] ^ r5[0] ^ r4[0] ^ r3[0] ^ r2[0] ^ r1[0] ^ r0[0]
+		w1 = w2 ^ r7[1] ^ r6[1] ^ r5[1] ^ r4[1] ^ r3[1] ^ r2[1] ^ r1[1] ^ r0[1]
+		w2 = w3 ^ r7[2] ^ r6[2] ^ r5[2] ^ r4[2] ^ r3[2] ^ r2[2] ^ r1[2] ^ r0[2]
+		w3 = r7[3] ^ r6[3] ^ r5[3] ^ r4[3] ^ r3[3] ^ r2[3] ^ r1[3] ^ r0[3]
+	}
 	for _, c := range data {
-		row := &r.remTab[byte(w0>>56)^c]
+		row := &t[0][byte(w0>>56)^c]
 		w0 = (w0<<8 | w1>>56) ^ row[0]
 		w1 = (w1<<8 | w2>>56) ^ row[1]
 		w2 = (w2<<8 | w3>>56) ^ row[2]
@@ -120,98 +167,16 @@ func (r *RS) syndromes(cw []byte) ([]byte, bool) {
 	return syn, r.syndromesInto(syn, cw)
 }
 
-// sparseSyndromeMax bounds the nonzero-coefficient count the sparse
-// syndrome path handles; denser codewords take the remainder kernel.
-// Sparse spends a few cheap ops per (nonzero byte, root) pair, the
-// kernel one dependent table load per data byte past the leading zero
-// run. Zero-filled slices carrying a few raw flips, the shape this path
-// exists for, sit far below the bound; real payload sits far above it.
-const sparseSyndromeMax = 48
-
 // syndromesInto computes the syndromes into caller-owned scratch (len
 // exactly nparity) and reports whether they are all zero. It allocates
 // nothing — the batched read path calls it with stack scratch so a
 // clean codeword syndrome-checks for free.
 func (r *RS) syndromesInto(syn, cw []byte) bool {
+	// cw mod gen is the data's re-encoded parity XOR the stored parity,
+	// and S_i = (cw mod gen)(α^i) since every α^i is a root of gen. A
+	// zero remainder is a clean codeword; otherwise Horner's rule over
+	// the nparity remainder bytes gives the syndromes.
 	np := r.nparity
-	// A syndrome is just the sum of its nonzero terms: S_i = Σ_j
-	// c_j·(α^i)^(n-1-j). Nearly-zero codewords — zero-filled payload
-	// slices carrying a few raw bit flips, the dominant shape on the
-	// simulated media — have a handful of nonzero coefficients, so
-	// collect their positions (a word at a time through the zero runs)
-	// and evaluate only those terms: O(nonzero·nparity). Codewords that
-	// prove dense mid-scan bail to the remainder kernel below.
-	var pos [sparseSyndromeMax]uint8
-	nz := 0
-	dense := false
-	j := 0
-	for ; j+8 <= len(cw); j += 8 {
-		if binary.LittleEndian.Uint64(cw[j:]) == 0 {
-			continue
-		}
-		for k := j; k < j+8; k++ {
-			if cw[k] == 0 {
-				continue
-			}
-			if nz == sparseSyndromeMax {
-				dense = true
-				break
-			}
-			pos[nz] = uint8(k)
-			nz++
-		}
-		if dense {
-			break
-		}
-	}
-	if !dense {
-		for ; j < len(cw); j++ {
-			if cw[j] == 0 {
-				continue
-			}
-			if nz == sparseSyndromeMax {
-				dense = true
-				break
-			}
-			pos[nz] = uint8(j)
-			nz++
-		}
-	}
-	if !dense {
-		for i := 0; i < np; i++ {
-			syn[i] = 0
-		}
-		if nz == 0 {
-			return true
-		}
-		n1 := len(cw) - 1
-		for k := 0; k < nz; k++ {
-			p := int(pos[k])
-			// Term c·(α^i)^(n-1-p) for root i, walked incrementally in
-			// exponent space: e starts at log c and advances by the
-			// (reduced) position power per root, folded back below 255
-			// so gfExp indexes stay in table range.
-			e := int(gfLog[cw[p]])
-			step := (n1 - p) % 255
-			for i := 0; i < np; i++ {
-				syn[i] ^= gfExp[e]
-				e += step
-				if e >= 255 {
-					e -= 255
-				}
-			}
-		}
-		for i := 0; i < np; i++ {
-			if syn[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	// Dense codeword: cw mod gen is the data's re-encoded parity XOR the
-	// stored parity, and S_i = (cw mod gen)(α^i) since every α^i is a
-	// root of gen. A zero remainder is a clean codeword; otherwise
-	// Horner's rule over the nparity remainder bytes gives the syndromes.
 	data := len(cw) - np
 	rem := r.remainder(cw[:data])
 	dirty := byte(0)

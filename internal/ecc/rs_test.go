@@ -2,8 +2,10 @@ package ecc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -225,24 +227,28 @@ func TestRSShortCodeword(t *testing.T) {
 	}
 }
 
-// refParities are the parity counts the reference tests cover: both
-// ends of NewRS's range and every width the remainder register packs
-// differently (one, two and four words).
-var refParities = []int{1, 4, 8, 16, 32}
-
-func TestSyndromesSparseMatchesReference(t *testing.T) {
-	// syndromesInto picks a sparse evaluation for nearly-zero codewords
-	// and the remainder kernel for dense ones; both must agree with the
-	// direct polynomial evaluation S_i = cw(α^i) at every density,
-	// especially around the sparseSyndromeMax crossover, on shortened
-	// codewords, and on valid codewords with and without corruption
-	// (the kernel's clean verdict).
-	rng := sim.NewRNG(11)
-	for _, np := range refParities {
+// everyParity runs f once per parity count NewRS accepts. Every count
+// packs the register differently (one to four live words, a partial
+// last word), and each has its own tables.
+func everyParity(t *testing.T, f func(np int, rs *RS)) {
+	t.Helper()
+	for np := 1; np <= maxParity; np++ {
 		rs, err := NewRS(np)
 		if err != nil {
 			t.Fatal(err)
 		}
+		f(np, rs)
+	}
+}
+
+func TestSyndromesMatchReference(t *testing.T) {
+	// syndromesInto must agree with the direct polynomial evaluation
+	// S_i = cw(α^i) at every density (47..49 nonzero bytes straddle
+	// the bound of a deleted sparse path), on shortened codewords, and
+	// on valid codewords with and without corruption (the kernel's
+	// clean verdict).
+	rng := sim.NewRNG(11)
+	everyParity(t, func(np int, rs *RS) {
 		ref := make([]byte, np)
 		got := make([]byte, np)
 		check := func(what string, cw []byte) {
@@ -266,7 +272,7 @@ func TestSyndromesSparseMatchesReference(t *testing.T) {
 			}
 		}
 		for _, n := range []int{np + 1, 100, 255} {
-			for _, nz := range []int{0, 1, 2, 3, sparseSyndromeMax - 1, sparseSyndromeMax, sparseSyndromeMax + 1, 100, 255} {
+			for _, nz := range []int{0, 1, 2, 3, 47, 48, 49, 100, 255} {
 				if nz > n {
 					continue
 				}
@@ -306,7 +312,7 @@ func TestSyndromesSparseMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestRSEncodeMatchesDefinition(t *testing.T) {
@@ -314,11 +320,7 @@ func TestRSEncodeMatchesDefinition(t *testing.T) {
 	// makes every generator root α^i (i < nparity) a root of the
 	// codeword, so checking both pins the parity bytes exactly.
 	rng := sim.NewRNG(12)
-	for _, np := range refParities {
-		rs, err := NewRS(np)
-		if err != nil {
-			t.Fatal(err)
-		}
+	everyParity(t, func(np int, rs *RS) {
 		for n := 1; n <= rs.MaxData(); n++ {
 			for _, dense := range []bool{false, true} {
 				data := make([]byte, n)
@@ -340,6 +342,123 @@ func TestRSEncodeMatchesDefinition(t *testing.T) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// refGenerator returns Π(x - α^i) for i < np, highest-degree first, by
+// plain polynomial multiplication.
+func refGenerator(np int) []byte {
+	gen := []byte{1}
+	for i := 0; i < np; i++ {
+		next := make([]byte, len(gen)+1)
+		for j, c := range gen {
+			next[j] ^= c
+			next[j+1] ^= gfMul(c, gfExp[i])
+		}
+		gen = next
+	}
+	return gen
+}
+
+func TestSliceTablesAreZeroByteSteps(t *testing.T) {
+	// The byte-wise division register, np bytes wide: shift one data
+	// byte in, fold the feedback back through the generator. tab[k][f]
+	// must be the register after feedback f and then k zero bytes,
+	// packed big-endian into the top np bytes of four words.
+	everyParity(t, func(np int, rs *RS) {
+		gen := refGenerator(np)
+		reg := make([]byte, np)
+		step := func(c byte) {
+			fb := reg[0] ^ c
+			copy(reg, reg[1:])
+			reg[np-1] = 0
+			for j := range reg {
+				reg[j] ^= gfMul(fb, gen[j+1])
+			}
+		}
+		for f := 0; f < 256; f++ {
+			clear(reg)
+			step(byte(f))
+			for k := 0; k < 8; k++ {
+				var packed [maxParity]byte
+				for w, word := range rs.tab[k][f] {
+					binary.BigEndian.PutUint64(packed[8*w:], word)
+				}
+				if !bytes.Equal(packed[:np], reg) || !bytes.Equal(packed[np:], make([]byte, maxParity-np)) {
+					t.Fatalf("np=%d: tab[%d][%#x] = %x, want %x then zeros", np, k, f, packed, reg)
+				}
+				step(0)
+			}
+		}
+	})
+}
+
+func TestNewRSSharesTablesAcrossGoroutines(t *testing.T) {
+	// Forget every built table so the goroutines below race to build
+	// each one first; under -race this checks the once-per-parity
+	// publication.
+	for i := range sliceTabs {
+		sliceTabs[i].once = sync.Once{}
+		sliceTabs[i].tab = nil
+	}
+	data := make([]byte, 255-1)
+	for i := range data {
+		data[i] = byte(i*29 + 7)
+	}
+	const workers = 8
+	type result struct {
+		tab *sliceTab
+		cw  []byte
+	}
+	results := make([][maxParity + 1]result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for np := 1; np <= maxParity; np++ {
+				rs, err := NewRS(np)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cw, err := rs.Encode(data[:rs.MaxData()])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[w][np] = result{rs.tab, cw}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for np := 1; np <= maxParity; np++ {
+		want := results[0][np]
+		for w := 1; w < workers; w++ {
+			got := results[w][np]
+			if got.tab != want.tab {
+				t.Errorf("np=%d: worker %d built its own tables", np, w)
+			}
+			if !bytes.Equal(got.cw, want.cw) {
+				t.Errorf("np=%d: worker %d encoded %x, worker 0 %x", np, w, got.cw, want.cw)
+			}
+		}
+	}
+}
+
+func TestNewRSAllocatesOnlyTheCoder(t *testing.T) {
+	for _, np := range []int{1, 16, 32} {
+		if _, err := NewRS(np); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := NewRS(np); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("NewRS(%d) with its tables built allocates %v times, want 1", np, allocs)
 		}
 	}
 }
