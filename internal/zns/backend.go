@@ -497,14 +497,18 @@ func (b *Backend) Locate(lpa int64) (ppa storage.PPA, stream storage.StreamID, d
 
 // resetZone resets a drained zone; the device applies wear policy and
 // may take it offline, and condemned zones are forced offline — both
-// are capacity variance, reported via the callback.
+// are capacity variance, reported via the callback. A condemned zone
+// with nothing programmed since its last erase goes offline unerased,
+// the way ftl retires an unallocated block.
 func (b *Backend) resetZone(z int) error {
 	zn := &b.dev.zones[z]
 	u := &b.Units[z]
 	if u.Live != 0 {
 		return fmt.Errorf("zns: resetting zone %d with %d live pages", z, u.Live)
 	}
-	if err := b.dev.Reset(z); err != nil {
+	if u.Condemned && zn.wp == 0 {
+		b.dev.goOffline(zn)
+	} else if err := b.dev.Reset(z); err != nil {
 		return err
 	}
 	b.Deactivate(z)

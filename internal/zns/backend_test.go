@@ -229,6 +229,60 @@ func TestBackendQuarantineOfflinesZone(t *testing.T) {
 	}
 }
 
+// TestBackendQuarantineEmptyZoneSkipsErase condemns a zone that holds
+// nothing: it goes offline without an erase (every block's PEC stays
+// 0), capacity shrinks and the callback sees it, and a remount keeps
+// the zone offline.
+func TestBackendQuarantineEmptyZoneSkipsErase(t *testing.T) {
+	b, _ := testBackend(t, 16, 2)
+	const victim = 5
+	zn := &b.dev.zones[victim]
+	if zn.state != ZoneEmpty {
+		t.Fatalf("zone %d starts %v, want empty", victim, zn.state)
+	}
+	before := b.UsablePages()
+	var notified int
+	b.SetCapacityCallback(func(p int) { notified = p })
+	if err := b.Quarantine(zn.blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range zn.blocks {
+		info, err := b.chip.Info(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.PEC != 0 {
+			t.Fatalf("block %d of the empty condemned zone: PEC %d, want 0", blk, info.PEC)
+		}
+		if !info.Retired {
+			t.Fatalf("block %d of the offline zone is not retired", blk)
+		}
+	}
+	if zn.state != ZoneOffline {
+		t.Fatalf("condemned empty zone state %v, want offline", zn.state)
+	}
+	after := b.UsablePages()
+	if after >= before {
+		t.Fatalf("capacity did not shrink: %d -> %d", before, after)
+	}
+	if notified != after {
+		t.Fatalf("callback saw %d, UsablePages says %d", notified, after)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := b.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := nb.(*Backend).dev.zones[victim].state; st != ZoneOffline {
+		t.Fatalf("zone %d after recovery: %v, want offline", victim, st)
+	}
+	if err := nb.CheckInvariants(); err != nil {
+		t.Fatalf("post-recovery invariants: %v", err)
+	}
+}
+
 // TestBackendRecover remounts after a clean stop and checks every
 // mapping survives with identical content and stream assignment.
 func TestBackendRecover(t *testing.T) {
