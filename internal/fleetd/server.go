@@ -30,7 +30,9 @@ package fleetd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -53,6 +55,14 @@ type Config struct {
 	// MaxShards caps the per-fleet shard population (<1 = 1<<20).
 	MaxShards int
 }
+
+// defaultMaxShards is MaxShards when the config leaves it unset.
+const defaultMaxShards = 1 << 20
+
+// maxBodyBytes bounds every POST body. 16 bytes per shard admits a
+// create body whose age_mix_days lists one age per shard at the
+// default shard cap; a larger body is answered 413.
+const maxBodyBytes = 16 * defaultMaxShards
 
 // Server hosts fleets over HTTP. Create with New, mount via Handler.
 type Server struct {
@@ -79,7 +89,7 @@ func New(cfg Config) *Server {
 		cfg.MaxFleets = 64
 	}
 	if cfg.MaxShards < 1 {
-		cfg.MaxShards = 1 << 20
+		cfg.MaxShards = defaultMaxShards
 	}
 	if cfg.GateSlots < 1 {
 		if cfg.Workers > 0 {
@@ -125,6 +135,33 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// decodeBody decodes a POST body into v: one JSON value of at most
+// maxBodyBytes, without unknown fields or trailing data. On failure it
+// answers the request (413 for an oversized body, 400 otherwise) and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		trailing = true
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
+	case trailing:
+		httpError(w, http.StatusBadRequest, "bad %s: data after the JSON value", what)
+	default:
+		httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return false
+}
+
 func (s *Server) lookup(id string) (*entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,10 +178,7 @@ type CreateResponse struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg sos.FleetConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "bad fleet config: %v", err)
+	if !decodeBody(w, r, "fleet config", &cfg) {
 		return
 	}
 	if cfg.Shards > s.cfg.MaxShards {
@@ -200,10 +234,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AdvanceRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad advance request: %v", err)
+	if !decodeBody(w, r, "advance request", &req) {
 		return
 	}
 	if req.Days < 1 {

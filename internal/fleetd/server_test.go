@@ -144,6 +144,10 @@ func TestRequestValidation(t *testing.T) {
 		{"advance unknown fleet", "POST", "/v1/fleet/f99/advance", strings.NewReader(`{"days": 1}`), http.StatusNotFound},
 		{"advance zero days", "POST", "/v1/fleet/" + id + "/advance", strings.NewReader(`{"days": 0}`), http.StatusBadRequest},
 		{"advance bad body", "POST", "/v1/fleet/" + id + "/advance", strings.NewReader("nope"), http.StatusBadRequest},
+		{"config then trailing bytes", "POST", "/v1/fleet", strings.NewReader(`{"shards": 2} {"shards": 3}`), http.StatusBadRequest},
+		{"advance then trailing bytes", "POST", "/v1/fleet/" + id + "/advance", strings.NewReader(`{"days": 1}}`), http.StatusBadRequest},
+		{"oversized config", "POST", "/v1/fleet", oversized(`{"shards": 2, "backend": "`, `"}`), http.StatusRequestEntityTooLarge},
+		{"oversized advance", "POST", "/v1/fleet/" + id + "/advance", oversized(`{"days": 1`, `}`), http.StatusRequestEntityTooLarge},
 		{"report unknown fleet", "GET", "/v1/fleet/f99/report", nil, http.StatusNotFound},
 		{"delete unknown fleet", "DELETE", "/v1/fleet/f99", nil, http.StatusNotFound},
 	}
@@ -166,6 +170,17 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("%s: error body %q not a JSON error", tc.name, body)
 		}
 	}
+	// The oversized bodies must not have taken the daemon down.
+	if resp, body := do(t, "GET", ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
+		t.Fatalf("healthz after oversized bodies: %d %q", resp.StatusCode, body)
+	}
+}
+
+// oversized returns a JSON body one byte over maxBodyBytes: head, then
+// filler, then tail. The value would be well-formed if it were admitted.
+func oversized(head, tail string) io.Reader {
+	fill := maxBodyBytes + 1 - len(head) - len(tail)
+	return strings.NewReader(head + strings.Repeat(" ", fill) + tail)
 }
 
 func TestStreamingAdvance(t *testing.T) {
@@ -237,6 +252,23 @@ func TestHealthz(t *testing.T) {
 	resp, body := do(t, "GET", ts.URL+"/healthz", nil)
 	if resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
+	}
+}
+
+// TestBodyLimitAdmitsPerShardAges checks the body limit's sizing: a
+// create body listing one four-digit age per shard at the default shard
+// cap decodes.
+func TestBodyLimitAdmitsPerShardAges(t *testing.T) {
+	body := fmt.Sprintf(`{"shards": %d, "age_mix_days": [%s3650]}`,
+		defaultMaxShards, strings.Repeat("3650, ", defaultMaxShards-1))
+	req := httptest.NewRequest("POST", "/v1/fleet", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	var cfg sos.FleetConfig
+	if !decodeBody(rec, req, "fleet config", &cfg) {
+		t.Fatalf("%d-byte per-shard body refused: %d %s", len(body), rec.Code, rec.Body)
+	}
+	if len(cfg.AgeMixDays) != defaultMaxShards {
+		t.Fatalf("decoded %d ages, want %d", len(cfg.AgeMixDays), defaultMaxShards)
 	}
 }
 
