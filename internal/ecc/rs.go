@@ -206,17 +206,18 @@ func (r *RS) syndromesInto(syn, cw []byte) bool {
 // DecodeInPlace is Decode's allocation-free fast path: it syndrome-
 // checks the codeword with stack scratch and, when clean, returns the
 // data portion of cw directly — zero allocations. Dirty codewords (the
-// error path) fall back to the full Decode machinery, which corrects in
-// place within cw.
+// error path) go to correct with the syndromes already in that scratch,
+// which corrects in place within cw.
 func (r *RS) DecodeInPlace(cw []byte) (data []byte, corrected int, err error) {
 	if len(cw) <= r.nparity || len(cw) > 255 {
 		return nil, 0, fmt.Errorf("ecc: codeword length %d out of range", len(cw))
 	}
 	var scratch [maxParity]byte
-	if r.syndromesInto(scratch[:r.nparity], cw) {
+	syn := scratch[:r.nparity]
+	if r.syndromesInto(syn, cw) {
 		return cw[:len(cw)-r.nparity], 0, nil
 	}
-	return r.Decode(cw)
+	return r.correct(cw, syn)
 }
 
 // Decode corrects up to CorrectableErrors byte errors in place and
@@ -228,11 +229,18 @@ func (r *RS) Decode(cw []byte) (data []byte, corrected int, err error) {
 	if len(cw) <= r.nparity || len(cw) > 255 {
 		return nil, 0, fmt.Errorf("ecc: codeword length %d out of range", len(cw))
 	}
-	data = cw[:len(cw)-r.nparity]
 	syn, clean := r.syndromes(cw)
 	if clean {
-		return data, 0, nil
+		return cw[:len(cw)-r.nparity], 0, nil
 	}
+	return r.correct(cw, syn)
+}
+
+// correct runs Berlekamp-Massey, Chien and Forney on a dirty codeword
+// whose nonzero syndromes syn the caller already computed, correcting
+// cw in place. It only reads syn, so stack scratch stays on the stack.
+func (r *RS) correct(cw, syn []byte) (data []byte, corrected int, err error) {
+	data = cw[:len(cw)-r.nparity]
 
 	// Berlekamp-Massey: find error locator polynomial sigma
 	// (lowest-degree first here for convenience).

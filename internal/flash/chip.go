@@ -128,6 +128,7 @@ type block struct {
 	pec       int     // program/erase cycles endured
 	endScale  float64 // manufacturing endurance variance (1.0 nominal)
 	ratedEnd  float64 // cached RatedPEC*endScale: wear-out guard threshold
+	wear      wear    // wearOf(mode, pec, endScale), refreshed wherever pec or mode changes
 	retired   bool
 	nextPage  int // next programmable page index (in-order constraint)
 	pagesAvab int // pages available in current mode
@@ -290,6 +291,7 @@ func newBlock(mode Mode, nativePages int, endScale float64) block {
 		mode:      mode,
 		endScale:  endScale,
 		ratedEnd:  float64(mode.RatedPEC()) * es,
+		wear:      wearOf(mode, 0, endScale),
 		pagesAvab: pages,
 		state:     make([]PageState, pages),
 		data:      make([][]byte, pages),
@@ -634,7 +636,7 @@ func (c *Chip) readLocked(pl *plane, b, page int, dst []byte) (ReadResult, error
 	pl.readsT++
 
 	retention := c.clock.Now() - blk.writtenAt[page]
-	rber := c.model.RBER(blk.mode, blk.pec, retention, int(blk.reads[page]), blk.endScale)
+	rber := c.model.pageRBER(blk.wear, retention, int(blk.reads[page]))
 	nbits := int(blk.dataLen[page]) * 8
 	// Errors are persistent: the cumulative expected flip count for this
 	// page is nbits*rber, which only grows (retention, disturb, wear at
@@ -777,6 +779,7 @@ func (c *Chip) Erase(b int) error {
 		}
 	}
 	blk.pec++
+	blk.wear = wearOf(blk.mode, blk.pec, blk.endScale)
 	blk.nextPage = 0
 	for i := 0; i < blk.pagesAvab; i++ {
 		blk.state[i] = PageErased
@@ -816,6 +819,7 @@ func (c *Chip) SetMode(b int, m Mode) error {
 	}
 	nb := newBlock(m, c.geo.PagesPerBlock, blk.endScale)
 	nb.pec = blk.pec
+	nb.wear = wearOf(m, nb.pec, nb.endScale)
 	c.blocks[b] = nb
 	return nil
 }
@@ -834,18 +838,18 @@ func (c *Chip) Retire(b int) error {
 
 // BlockInfo is a telemetry snapshot of one block.
 type BlockInfo struct {
-	Mode        Mode
-	PEC         int
-	Retired     bool
-	Pages       int
-	NextPage    int
-	EndScale    float64
-	RatedPEC    int     // rated endurance in the current mode (nominal)
-	WearFrac    float64 // PEC / (rated * endScale)
-	CurrentRBER float64 // RBER of a page written now and read now
+	Mode     Mode
+	PEC      int
+	Retired  bool
+	Pages    int
+	NextPage int
+	EndScale float64
+	RatedPEC int     // rated endurance in the current mode (nominal)
+	WearFrac float64 // PEC / (rated * endScale), an endScale <= 0 counting as 1
 }
 
-// Info returns the telemetry snapshot for block b.
+// Info returns the telemetry snapshot for block b: a copy of its fields
+// under the plane lock, with the wear fraction the RBER model cached.
 func (c *Chip) Info(b int) (BlockInfo, error) {
 	if b < 0 || b >= len(c.blocks) {
 		return BlockInfo{}, ErrBadAddress
@@ -854,17 +858,15 @@ func (c *Chip) Info(b int) (BlockInfo, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	blk := &c.blocks[b]
-	rated := blk.mode.RatedPEC()
 	return BlockInfo{
-		Mode:        blk.mode,
-		PEC:         blk.pec,
-		Retired:     blk.retired,
-		Pages:       blk.pagesAvab,
-		NextPage:    blk.nextPage,
-		EndScale:    blk.endScale,
-		RatedPEC:    rated,
-		WearFrac:    float64(blk.pec) / (float64(rated) * blk.endScale),
-		CurrentRBER: c.model.RBER(blk.mode, blk.pec, 0, 0, blk.endScale),
+		Mode:     blk.mode,
+		PEC:      blk.pec,
+		Retired:  blk.retired,
+		Pages:    blk.pagesAvab,
+		NextPage: blk.nextPage,
+		EndScale: blk.endScale,
+		RatedPEC: blk.mode.RatedPEC(),
+		WearFrac: blk.wear.frac,
 	}, nil
 }
 
@@ -885,7 +887,7 @@ func (c *Chip) PageRBER(b, page int) (float64, error) {
 		return 0, ErrNotWritten
 	}
 	retention := c.clock.Now() - blk.writtenAt[page]
-	return c.model.RBER(blk.mode, blk.pec, retention, int(blk.reads[page]), blk.endScale), nil
+	return c.model.pageRBER(blk.wear, retention, int(blk.reads[page])), nil
 }
 
 // StateOf returns the state of (b, page).

@@ -49,21 +49,40 @@ func DefaultErrorModel() ErrorModel {
 // being programmed. enduranceScale models block-to-block manufacturing
 // variance (1.0 = nominal; <1 wears faster).
 func (em ErrorModel) RBER(m Mode, pec int, retention sim.Time, reads int, enduranceScale float64) float64 {
+	return em.pageRBER(wearOf(m, pec, enduranceScale), retention, reads)
+}
+
+// wear is the block-level part of RBER: the mode's fresh rate, the wear
+// fraction pec/(rated·scale) and the wear term fresh·(EOL/fresh)^frac.
+// It changes only when the block is erased or switches mode, so the chip
+// caches one per block instead of paying math.Pow on every read.
+type wear struct {
+	fresh, frac, term float64
+}
+
+// wearOf computes the block-level part of RBER; an enduranceScale <= 0
+// means nominal.
+func wearOf(m Mode, pec int, enduranceScale float64) wear {
 	if enduranceScale <= 0 {
 		enduranceScale = 1
 	}
 	fresh := m.freshRBER()
-	rated := float64(m.RatedPEC()) * enduranceScale
-	wear := float64(pec) / rated
+	frac := float64(pec) / (float64(m.RatedPEC()) * enduranceScale)
+	// The conversion rounds the product here, so no platform may fuse it
+	// into pageRBER's sum: a cached term and a fresh one add identically.
+	return wear{fresh: fresh, frac: frac, term: float64(fresh * math.Pow(EOLRBER/fresh, frac))}
+}
+
+// pageRBER adds a page's retention and read-disturb terms to its block's
+// wear term, in RBER's order, and caps the sum.
+func (em ErrorModel) pageRBER(w wear, retention sim.Time, reads int) float64 {
 	years := retention.Years()
 	if years < 0 {
 		years = 0
 	}
-
-	wearTerm := fresh * math.Pow(EOLRBER/fresh, wear)
-	retTerm := fresh * em.RetCoef * years * (1 + wear) * (1 + wear)
-	readTerm := fresh * em.ReadCoef * float64(reads)
-	rber := wearTerm + retTerm + readTerm
+	retTerm := w.fresh * em.RetCoef * years * (1 + w.frac) * (1 + w.frac)
+	readTerm := w.fresh * em.ReadCoef * float64(reads)
+	rber := w.term + retTerm + readTerm
 	if rber > 0.5 {
 		rber = 0.5 // beyond this, bits are noise
 	}

@@ -189,7 +189,7 @@ func (o unitOps) Wear(z int) (float64, error) {
 
 // PageAddr maps a zone-relative page index to its chip address.
 func (o unitOps) PageAddr(z, idx int) (storage.PPA, error) {
-	blk, page, err := o.dev.locate(&o.dev.zones[z], idx)
+	blk, page, err := o.dev.zones[z].locate(idx)
 	return storage.PPA{Block: blk, Page: page}, err
 }
 
@@ -458,7 +458,7 @@ func (b *Backend) readBatch(e *storage.ReadEngine, ops []storage.BatchReadOp, fa
 			fates[i].Err = storage.ErrUnknownLPA
 			continue
 		}
-		blk, page, err := b.dev.locate(&b.dev.zones[m.Unit], m.Index)
+		blk, page, err := b.dev.zones[m.Unit].locate(m.Index)
 		if err != nil {
 			fates[i].Err = err
 			continue
@@ -488,7 +488,7 @@ func (b *Backend) Locate(lpa int64) (ppa storage.PPA, stream storage.StreamID, d
 	if !found {
 		return storage.PPA{}, 0, 0, false
 	}
-	blk, page, err := b.dev.locate(&b.dev.zones[m.Unit], m.Index)
+	blk, page, err := b.dev.zones[m.Unit].locate(m.Index)
 	if err != nil {
 		return storage.PPA{}, 0, 0, false
 	}

@@ -3,6 +3,7 @@ package zns
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"sos/internal/ecc"
@@ -384,5 +385,33 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 	b.P2L[b.PageIndex(m.Unit, m.Index)] = -1 // break the inverse
 	if err := b.CheckInvariants(); err == nil {
 		t.Fatal("p2l hole undetected")
+	}
+}
+
+// TestInvariantsCatchStaleLayout tampers with an open zone's cached
+// layout: a block page count, then a capacity, that disagree with the
+// chip must each fail CheckInvariants.
+func TestInvariantsCatchStaleLayout(t *testing.T) {
+	b, _ := testBackend(t, 16, 2)
+	if err := b.Write(1, bytes.Repeat([]byte{1}, 64), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := b.Lookup(1)
+	zn := &b.dev.zones[m.Unit]
+	if zn.state != ZoneOpen {
+		t.Fatalf("written zone is %v, want open", zn.state)
+	}
+	zn.pages[1]++
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "caches") {
+		t.Fatalf("stale block page count: got %v", err)
+	}
+	zn.pages[1]--
+	zn.capacity--
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "caches capacity") {
+		t.Fatalf("stale capacity: got %v", err)
+	}
+	zn.capacity++
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("restored layout rejected: %v", err)
 	}
 }

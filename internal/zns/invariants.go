@@ -20,6 +20,8 @@ import (
 //     open or full.
 //   - Mapped pages live below their zone's write pointer with
 //     consistent recorded lengths.
+//   - Each online zone's cached layout (per-block page counts and
+//     capacity) matches the chip's page counts.
 //   - Write-pointer monotonicity: each zone's wp equals the sum of its
 //     blocks' program cursors and never exceeds capacity.
 //   - Empty zones hold no live data and no programmed pages.
@@ -121,7 +123,7 @@ func CheckInvariants(b *Backend) error {
 		}
 		cursors := 0
 		capacity := 0
-		for _, blk := range zn.blocks {
+		for i, blk := range zn.blocks {
 			info, err := b.chip.Info(blk)
 			if err != nil {
 				return err
@@ -134,7 +136,13 @@ func CheckInvariants(b *Backend) error {
 			if err != nil {
 				return err
 			}
+			if zn.pages[i] != pages {
+				return fmt.Errorf("zns: %v zone %d caches %d pages for block %d, chip has %d", zn.state, z, zn.pages[i], blk, pages)
+			}
 			capacity += pages
+		}
+		if zn.capacity != capacity {
+			return fmt.Errorf("zns: %v zone %d caches capacity %d, chip has %d", zn.state, z, zn.capacity, capacity)
 		}
 		if zn.wp != cursors {
 			return fmt.Errorf("zns: zone %d wp %d disagrees with chip cursors %d", z, zn.wp, cursors)

@@ -76,19 +76,15 @@ func (nb *Backend) rebuild() error {
 		// recovery finishes the interrupted reset.
 		wp := 0
 		gap, seenPartial := false, false
-		for _, blk := range zn.blocks {
+		for i, blk := range zn.blocks {
 			info, err := nb.chip.Info(blk)
-			if err != nil {
-				return err
-			}
-			pages, err := nb.chip.PagesIn(blk)
 			if err != nil {
 				return err
 			}
 			if seenPartial && info.NextPage > 0 {
 				gap = true
 			}
-			if info.NextPage < pages {
+			if info.NextPage < zn.pages[i] {
 				seenPartial = true
 			}
 			wp += info.NextPage
@@ -110,7 +106,7 @@ func (nb *Backend) rebuild() error {
 		}
 		sawStream := storage.StreamID(-1)
 		for idx := 0; idx < wp; idx++ {
-			blk, page, err := d.locate(zn, idx)
+			blk, page, err := zn.locate(idx)
 			if err != nil {
 				return err
 			}
@@ -175,11 +171,7 @@ func (nb *Backend) rebuild() error {
 			zn.attr = attr
 			nb.Units[z].Owner = nb.streamForAttr(attr)
 		}
-		info, err := d.Info(z)
-		if err != nil {
-			return err
-		}
-		if wp >= info.Capacity {
+		if wp >= zn.capacity {
 			zn.state = ZoneFull
 		} else {
 			zn.state = ZoneOpen

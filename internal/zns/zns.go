@@ -106,6 +106,12 @@ type zone struct {
 	attr   Attr
 	wp     int // pages appended so far
 	blocks []int
+	// pages caches each block's page count in its current mode and
+	// capacity their sum: the zone's layout. Only Open switches block
+	// modes, so New and Open fill it (see layout) and no append or lookup
+	// asks the chip.
+	pages    []int
+	capacity int
 	// lens records each appended payload's logical length.
 	lens []int
 }
@@ -186,9 +192,26 @@ func New(cfg Config) (*Device, error) {
 		for i := 0; i < perZone; i++ {
 			blocks = append(blocks, z*perZone+i)
 		}
-		d.zones = append(d.zones, zone{state: ZoneEmpty, blocks: blocks})
+		d.zones = append(d.zones, zone{state: ZoneEmpty, blocks: blocks, pages: make([]int, perZone)})
+		if err := d.layout(&d.zones[z]); err != nil {
+			return nil, err
+		}
 	}
 	return d, nil
+}
+
+// layout refills zn's cached page counts and capacity from the chip.
+func (d *Device) layout(zn *zone) error {
+	zn.capacity = 0
+	for i, b := range zn.blocks {
+		pages, err := d.chip.PagesIn(b)
+		if err != nil {
+			return err
+		}
+		zn.pages[i] = pages
+		zn.capacity += pages
+	}
+	return nil
 }
 
 // Zones returns the number of zones.
@@ -210,14 +233,8 @@ func (d *Device) Info(z int) (ZoneInfo, error) {
 		return ZoneInfo{}, ErrBadZone
 	}
 	zn := &d.zones[z]
-	capacity := 0
 	var wear float64
 	for _, b := range zn.blocks {
-		pages, err := d.chip.PagesIn(b)
-		if err != nil {
-			return ZoneInfo{}, err
-		}
-		capacity += pages
 		info, err := d.chip.Info(b)
 		if err != nil {
 			return ZoneInfo{}, err
@@ -226,7 +243,7 @@ func (d *Device) Info(z int) (ZoneInfo, error) {
 	}
 	return ZoneInfo{
 		ID: z, State: zn.state, Attr: zn.attr, WP: zn.wp,
-		Capacity: capacity, MeanWear: wear / float64(len(zn.blocks)),
+		Capacity: zn.capacity, MeanWear: wear / float64(len(zn.blocks)),
 	}, nil
 }
 
@@ -259,6 +276,11 @@ func (d *Device) Open(z int, attr Attr) error {
 			}
 		}
 	}
+	// An Open that failed above leaves the zone empty, its layout stale
+	// only if the medium died mid-loop; recovery rebuilds through New.
+	if err := d.layout(zn); err != nil {
+		return err
+	}
 	zn.attr = attr
 	zn.state = ZoneOpen
 	zn.wp = 0
@@ -266,15 +288,12 @@ func (d *Device) Open(z int, attr Attr) error {
 	return nil
 }
 
-// locate maps a zone-relative page index to (block, page).
-func (d *Device) locate(zn *zone, idx int) (int, int, error) {
-	for _, b := range zn.blocks {
-		pages, err := d.chip.PagesIn(b)
-		if err != nil {
-			return 0, 0, err
-		}
+// locate maps a zone-relative page index to (block, page) through the
+// zone's cached layout, without asking the chip.
+func (zn *zone) locate(idx int) (int, int, error) {
+	for i, pages := range zn.pages {
 		if idx < pages {
-			return b, idx, nil
+			return zn.blocks[i], idx, nil
 		}
 		idx -= pages
 	}
@@ -303,7 +322,7 @@ func (d *Device) Append(z int, stored []byte, storedLen, dataLen int, tag flash.
 	if dataLen <= 0 || dataLen > d.chip.Geometry().PageSize {
 		return 0, 0, 0, ErrPayloadLarge
 	}
-	blk, page, err = d.locate(zn, zn.wp)
+	blk, page, err = zn.locate(zn.wp)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -319,15 +338,7 @@ func (d *Device) Append(z int, stored []byte, storedLen, dataLen int, tag flash.
 	zn.wp++
 	zn.lens = append(zn.lens, dataLen)
 	d.appends++
-	capacity := 0
-	for _, b := range zn.blocks {
-		pages, err := d.chip.PagesIn(b)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		capacity += pages
-	}
-	if zn.wp >= capacity {
+	if zn.wp >= zn.capacity {
 		zn.state = ZoneFull
 	}
 	return idx, blk, page, nil
