@@ -753,16 +753,12 @@ func (d *Device) readBatch(rds []BatchRead, ops []storage.BatchReadOp, fates []s
 // skip the retry model, and the page's RBER is approximated from its
 // flip count.
 func (d *Device) readFateLatency(res *ftl.ReadResult) sim.Time {
-	pol := d.backend.Streams()[res.Stream]
-	_, tolerant := pol.Scheme.(ecc.None)
-	if _, det := pol.Scheme.(ecc.DetectOnly); det {
-		tolerant = true
-	}
+	pol := &d.backend.Streams()[res.Stream]
 	rber := 0.0
 	if res.DataLen > 0 {
 		rber = float64(res.RawFlips) / float64(res.DataLen*8)
 	}
-	return d.latency.ReadLatency(pol.Mode, rber, tolerant)
+	return d.latency.ReadLatency(pol.Mode, rber, pol.Approximate())
 }
 
 // Trim discards a logical page.

@@ -114,6 +114,3 @@ func (p LatencyProfile) ReadLatency(m flash.Mode, rber float64, tolerant bool) s
 func (p LatencyProfile) ProgramLatency(m flash.Mode) sim.Time {
 	return p.base(m, OpProgram)
 }
-
-// EraseLatency returns the modelled latency of one block erase.
-func (p LatencyProfile) EraseLatency() sim.Time { return p.EraseBase }

@@ -8,8 +8,10 @@ import (
 
 	"sos/internal/ecc"
 	"sos/internal/flash"
+	"sos/internal/ftl"
 	"sos/internal/sim"
 	"sos/internal/storage"
+	"sos/internal/zns"
 )
 
 // The reference-model differential test: one decoded op sequence runs
@@ -428,5 +430,53 @@ func TestBackendModel(t *testing.T) {
 				t.Error("no condemned unit was drained and retired")
 			}
 		})
+	}
+}
+
+// TestInvariantsCatchTampering corrupts one piece of the state the
+// shared Reclaimer holds, on each backend, and requires CheckInvariants
+// to reject it.
+func TestInvariantsCatchTampering(t *testing.T) {
+	rows := []struct {
+		name   string
+		tamper func(r *storage.Reclaimer)
+	}{
+		{"p2l back-pointer swap", func(r *storage.Reclaimer) {
+			a, b := r.L2P[0], r.L2P[1]
+			pa, pb := r.PageIndex(a.Unit, a.Index), r.PageIndex(b.Unit, b.Index)
+			r.P2L[pa], r.P2L[pb] = r.P2L[pb], r.P2L[pa]
+		}},
+		{"live-count desync", func(r *storage.Reclaimer) { r.Units[r.L2P[0].Unit].Live++ }},
+		{"mapping on an unknown stream", func(r *storage.Reclaimer) { r.L2P[0].Stream = storage.StreamID(len(modelStreams())) }},
+		{"active slot holds a condemned unit", func(r *storage.Reclaimer) { r.Units[r.Active[0]].Condemned = true }},
+		{"active unit's bin names another slot", func(r *storage.Reclaimer) { r.Units[r.Active[0]].Bin = storage.HintHot }},
+	}
+	for _, kind := range storage.Kinds() {
+		for _, row := range rows {
+			t.Run(kind.String()+"/"+row.name, func(t *testing.T) {
+				m := newModelRun(t, kind)
+				for lpa := int64(0); lpa < 2; lpa++ {
+					if err := m.be.Write(lpa, payload(64, int(lpa)), 64, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.be.CheckInvariants(); err != nil {
+					t.Fatalf("before tampering: %v", err)
+				}
+				var r *storage.Reclaimer
+				switch be := m.be.(type) {
+				case *ftl.FTL:
+					r = &be.Reclaimer
+				case *zns.Backend:
+					r = &be.Reclaimer
+				default:
+					t.Fatalf("unknown backend %T", m.be)
+				}
+				row.tamper(r)
+				if err := m.be.CheckInvariants(); err == nil {
+					t.Fatal("CheckInvariants accepted the tampered state")
+				}
+			})
+		}
 	}
 }

@@ -262,9 +262,6 @@ func (s *RSScheme) Name() string {
 	return fmt.Sprintf("rs(%d,%d)", s.dataShard+s.rs.ParityBytes(), s.dataShard)
 }
 
-// CorrectableErrorsPerShard reports the per-codeword correction budget.
-func (s *RSScheme) CorrectableErrorsPerShard() int { return s.rs.CorrectableErrors() }
-
 // Encode implements Scheme. Data is split into dataShard-byte chunks,
 // each encoded independently; the final chunk may be shorter (RS is
 // length-agnostic for shortened codes).

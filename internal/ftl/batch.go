@@ -184,17 +184,9 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 			break
 		}
 		id := op.Stream
-		slot := storage.ActiveSlot(id, op.Hint)
-		b := f.Active[slot]
-		if b >= 0 {
-			pages, err := f.chip.PagesIn(b)
-			if err != nil {
-				break // let the slow path surface chip errors
-			}
-			if f.Units[b].Programmed >= pages {
-				f.Active[slot] = -1
-				b = -1
-			}
+		b, err := f.activeWritable(id, op.Hint)
+		if err != nil {
+			break // let the slow path surface chip errors
 		}
 		if b < 0 {
 			// Allocation needed: only when it cannot trigger GC or the
@@ -206,12 +198,9 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 				break
 			}
 			f.allocsSinceWL++
-			nb, err := f.allocBlock(id, op.Hint)
-			if err != nil {
+			if b, err = f.allocBlock(id, op.Hint); err != nil {
 				break
 			}
-			f.Active[slot] = nb
-			b = nb
 		}
 		u := &f.Units[b]
 		page := u.Programmed

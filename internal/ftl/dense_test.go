@@ -127,8 +127,8 @@ func TestDenseP2LInvalidationOnQuarantine(t *testing.T) {
 	if !f.blocks[ppa.Block].retired {
 		t.Fatalf("block %d not retired after drain", ppa.Block)
 	}
-	base := ppa.Block * f.ppb
-	for page := 0; page < f.ppb; page++ {
+	base := f.PageIndex(ppa.Block, 0)
+	for page := 0; page < f.chip.Geometry().PagesPerBlock; page++ {
 		if got := f.P2L[base+page]; got != -1 {
 			t.Fatalf("retired block %d page %d still maps lpa %d", ppa.Block, page, got)
 		}

@@ -90,21 +90,14 @@ type FTL struct {
 	chip    Flash
 	streams []StreamPolicy
 	obs     *obs.Recorder // nil disables tracing
-	ppb     int           // native pages per block: the P2L row stride
 
 	// bs is the batched-write scratch; every slice and map in it is
 	// reused across WriteBatch calls so steady-state batches allocate
 	// nothing.
 	bs batchScratch
-	// rs runs ReadBatch; r1 runs Read, one op wide, so a per-op read
-	// never recycles the buffers an outstanding batch's payloads alias
-	// (see storage.ReadEngine).
-	rs, r1 storage.ReadEngine
-	// One-op scratch for Write and Read: per-op calls are batches of one.
+	// One-op scratch for Write: per-op calls are batches of one.
 	w1op   [1]storage.BatchOp
 	w1fate [1]storage.BatchFate
-	r1op   [1]storage.BatchReadOp
-	r1fate [1]storage.BatchReadFate
 	// wenc is writeOne's encode buffer, apart from the Reclaimer's
 	// relocation scratch because writeOne's program may run GC, which
 	// relocates.
@@ -204,7 +197,6 @@ func New(cfg Config) (*FTL, error) {
 		chip:      cfg.Chip,
 		streams:   cfg.Streams,
 		obs:       cfg.Obs,
-		ppb:       geo.PagesPerBlock,
 		blocks:    make([]blockState, cfg.Chip.Blocks()),
 		gcLow:     low,
 		reserve:   reserve,
@@ -232,8 +224,8 @@ func (f *FTL) Streams() []StreamPolicy { return f.streams }
 func (f *FTL) Chip() Flash { return f.chip }
 
 // allocBlock takes a block from the free pool for the stream and bin,
-// honoring the stream's wear-leveling policy, and sets the operating
-// mode.
+// honoring the stream's wear-leveling policy, sets the operating mode,
+// and installs the block as the slot's active block.
 func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 	pol := &f.streams[id]
 	if len(f.freePool) == 0 {
@@ -283,6 +275,7 @@ func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 		f.NotifyCapacity()
 	}
 	f.Units[b] = storage.Unit{Owner: id, Bin: h, InUse: true}
+	f.Activate(b)
 	return b, nil
 }
 
@@ -290,8 +283,7 @@ func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 // if it still has room, rotating it out when full. Returns -1 when a new
 // allocation is needed.
 func (f *FTL) activeWritable(id StreamID, h storage.LifetimeHint) (int, error) {
-	s := storage.ActiveSlot(id, h)
-	b := f.Active[s]
+	b := f.Active[storage.ActiveSlot(id, h)]
 	if b < 0 {
 		return -1, nil
 	}
@@ -303,7 +295,7 @@ func (f *FTL) activeWritable(id StreamID, h storage.LifetimeHint) (int, error) {
 		return b, nil
 	}
 	// Block full; it remains owned by the stream for GC accounting.
-	f.Active[s] = -1
+	f.Deactivate(b)
 	return -1, nil
 }
 
@@ -345,12 +337,7 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 			return b, err
 		}
 	}
-	nb, err := f.allocBlock(id, h)
-	if err != nil {
-		return -1, err
-	}
-	f.Active[storage.ActiveSlot(id, h)] = nb
-	return nb, nil
+	return f.allocBlock(id, h)
 }
 
 // Write stores data (length <= LogicalPageSize) at lpa under the given
@@ -458,9 +445,7 @@ func (f *FTL) sealBlock(b int) {
 	if info, err := f.chip.Info(b); err == nil {
 		u.Programmed = info.NextPage
 	}
-	if s := storage.ActiveSlot(u.Owner, u.Bin); f.Active[s] == b {
-		f.Active[s] = -1
-	}
+	f.Deactivate(b)
 }
 
 // sealFailedBlock seals a block after a program-status failure.
@@ -480,45 +465,6 @@ func (f *FTL) invalidate(m storage.Mapping) {
 	f.P2L[f.PageIndex(m.Unit, m.Index)] = -1
 }
 
-// ReadBatch implements storage.Backend: the FTL resolves every op
-// against its L2P table in canonical order and the shared read engine
-// runs the read, decode, and settle phases. fates[i] records the
-// outcome of ops[i]; results are identical for every (queues, workers)
-// pair.
-func (f *FTL) ReadBatch(ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
-	f.readBatch(&f.rs, ops, fates, queues, workers)
-}
-
-// Read fetches lpa, decoding through the stream's ECC scheme: a one-op
-// batch on the FTL's one-op engine. The payload stays valid until the
-// next Read.
-func (f *FTL) Read(lpa int64) (ReadResult, error) {
-	f.r1op[0] = storage.BatchReadOp{LPA: lpa}
-	f.readBatch(&f.r1, f.r1op[:], f.r1fate[:], 1, 1)
-	return f.r1fate[0].Res, f.r1fate[0].Err
-}
-
-// readBatch is the resolve pass: unmapped LPAs get their final fate
-// here; mapped ops go to the engine with everything later phases need,
-// so no phase touches the L2P table concurrently.
-func (f *FTL) readBatch(e *storage.ReadEngine, ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
-	if len(ops) == 0 {
-		return
-	}
-	e.Begin(f.chip, len(ops))
-	for i := range ops {
-		fates[i] = storage.BatchReadFate{Block: -1, Page: -1}
-		m, ok := f.Lookup(ops[i].LPA)
-		if !ok {
-			fates[i].Err = ErrUnknownLPA
-			continue
-		}
-		fates[i].Block, fates[i].Page = m.Unit, m.Index
-		e.Add(i, ops[i].LPA, PPA{Block: m.Unit, Page: m.Index}, m.Stream, f.streams[m.Stream].Scheme, m.DataLen, m.BaseFlips)
-	}
-	f.DegradedReads += e.Run(ops, fates, queues, workers, "ftl", f.obs)
-}
-
 // Trim drops the mapping for lpa (host discard / file delete).
 func (f *FTL) Trim(lpa int64) error {
 	m, ok := f.Lookup(lpa)
@@ -528,16 +474,4 @@ func (f *FTL) Trim(lpa int64) error {
 	f.invalidate(m)
 	f.ClearMapping(lpa)
 	return nil
-}
-
-// Locate reports where a mapped lpa physically lives, its stream, and
-// its logical payload length. The device layer's fault ladder uses it
-// to escalate repeated hard read faults into block retirement and to
-// salvage what it can of an unreadable page.
-func (f *FTL) Locate(lpa int64) (ppa PPA, stream StreamID, dataLen int, ok bool) {
-	m, found := f.Lookup(lpa)
-	if !found {
-		return PPA{}, 0, 0, false
-	}
-	return PPA{Block: m.Unit, Page: m.Index}, m.Stream, m.DataLen, true
 }

@@ -112,27 +112,10 @@ func (f *FTL) maybeStaticWL(id StreamID) {
 // destination's (stream, bin) slot without triggering recursive GC; it
 // may dip into the reserve.
 func (f *FTL) relocTarget(id StreamID, h storage.LifetimeHint) (int, error) {
-	s := storage.ActiveSlot(id, h)
-	b := f.Active[s]
-	if b >= 0 {
-		pages, err := f.chip.PagesIn(b)
-		if err != nil {
-			return -1, err
-		}
-		if f.Units[b].Programmed < pages {
-			return b, nil
-		}
-		f.Active[s] = -1
+	if b, err := f.activeWritable(id, h); err != nil || b >= 0 {
+		return b, err
 	}
-	if len(f.freePool) == 0 {
-		return -1, ErrNoSpace
-	}
-	nb, err := f.allocBlock(id, h)
-	if err != nil {
-		return -1, err
-	}
-	f.Active[s] = nb
-	return nb, nil
+	return f.allocBlock(id, h)
 }
 
 // eraseAndFree erases a fully-invalidated block, then applies the wear
@@ -158,9 +141,7 @@ func (f *FTL) eraseAndFree(b int) error {
 	u.Stale = 0
 	u.Programmed = 0
 	u.Parks = 0
-	if s := storage.ActiveSlot(owner, u.Bin); f.Active[s] == b {
-		f.Active[s] = -1
-	}
+	f.Deactivate(b)
 	f.obs.Record(obs.Event{Kind: obs.EvErase, Block: b, Stream: int(owner)})
 
 	info, err := f.chip.Info(b)

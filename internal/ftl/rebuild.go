@@ -68,6 +68,7 @@ func (f *FTL) Rebuild() error {
 			return err
 		}
 		f.blocks[b] = blockState{}
+		f.Deactivate(b)
 		u := &f.Units[b]
 		*u = storage.Unit{}
 		if info.Retired {
@@ -165,9 +166,6 @@ func (f *FTL) Rebuild() error {
 	// active block (at most one per slot; the rest stay as-is and are
 	// GC-reclaimable once stale). The bin comes from the block's OOB
 	// tags, so hinted placement survives the crash exactly.
-	for i := range f.Active {
-		f.Active[i] = -1
-	}
 	for b := 0; b < f.chip.Blocks(); b++ {
 		u := &f.Units[b]
 		if !u.InUse {
@@ -177,8 +175,8 @@ func (f *FTL) Rebuild() error {
 		if err != nil {
 			return err
 		}
-		if s := storage.ActiveSlot(u.Owner, u.Bin); u.Programmed < pages && f.Active[s] == -1 {
-			f.Active[s] = b
+		if u.Programmed < pages && f.Active[storage.ActiveSlot(u.Owner, u.Bin)] < 0 {
+			f.Activate(b)
 		}
 	}
 	f.obs.Record(obs.Event{Kind: obs.EvRebuild, Aux: int64(f.MappedPages())})

@@ -28,9 +28,6 @@ func NewVTScheduler(n int) *VTScheduler {
 	return &VTScheduler{lanes: make([]Time, n)}
 }
 
-// Lanes returns the lane count.
-func (s *VTScheduler) Lanes() int { return len(s.lanes) }
-
 // Reset clears every lane's busy-until back to t (a new batch epoch).
 func (s *VTScheduler) Reset(t Time) {
 	for i := range s.lanes {

@@ -9,14 +9,76 @@ import (
 	"sos/internal/obs"
 )
 
-// ReadEngine runs the backend-independent phases of a batched read. A
-// backend's ReadBatch is semantically one read per op in submission
-// (Seq) order, restructured so the expensive parts run concurrently
-// without perturbing any result:
+// ReadBatch implements Backend: the serial resolve pass maps every op
+// to its chip page (UnitOps.PageAddr) in canonical order and the read
+// engine runs the read, decode, and settle phases. fates[i] records the
+// outcome of ops[i]; results are identical for every (queues, workers)
+// pair. Reads have no shared cursor, so a batch fans out across planes
+// whether its units are blocks or zones of consecutive blocks.
+func (r *Reclaimer) ReadBatch(ops []BatchReadOp, fates []BatchReadFate, queues, workers int) {
+	r.readBatch(&r.rs, ops, fates, queues, workers)
+}
+
+// Read fetches lpa, decoding through the stream's ECC scheme: a one-op
+// batch on the one-op engine. The payload stays valid until the next
+// Read.
+func (r *Reclaimer) Read(lpa int64) (ReadResult, error) {
+	r.r1op[0] = BatchReadOp{LPA: lpa}
+	r.readBatch(&r.r1, r.r1op[:], r.r1fate[:], 1, 1)
+	return r.r1fate[0].Res, r.r1fate[0].Err
+}
+
+// readBatch is the resolve pass: unmapped or unlocatable LPAs get their
+// final fate here; the rest go to the engine with everything later
+// phases need, so no phase touches the L2P table concurrently.
+func (r *Reclaimer) readBatch(e *readEngine, ops []BatchReadOp, fates []BatchReadFate, queues, workers int) {
+	if len(ops) == 0 {
+		return
+	}
+	e.begin(r.chip, len(ops))
+	for i := range ops {
+		fates[i] = BatchReadFate{Block: -1, Page: -1}
+		m, ok := r.Lookup(ops[i].LPA)
+		if !ok {
+			fates[i].Err = ErrUnknownLPA
+			continue
+		}
+		ppa, err := r.ops.PageAddr(m.Unit, m.Index)
+		if err != nil {
+			fates[i].Err = err
+			continue
+		}
+		fates[i].Block, fates[i].Page = ppa.Block, ppa.Page
+		e.add(i, ops[i].LPA, ppa, m.Stream, r.streams[m.Stream].Scheme, m.DataLen, m.BaseFlips)
+	}
+	r.DegradedReads += e.run(ops, fates, queues, workers, r.name, r.obs)
+}
+
+// Locate reports where a mapped lpa physically lives in chip
+// coordinates, its stream, and its logical payload length. The device
+// layer's fault ladder uses it to escalate repeated hard read faults
+// into retirement and to salvage what it can of an unreadable page.
+func (r *Reclaimer) Locate(lpa int64) (ppa PPA, stream StreamID, dataLen int, ok bool) {
+	m, found := r.Lookup(lpa)
+	if !found {
+		return PPA{}, 0, 0, false
+	}
+	ppa, err := r.ops.PageAddr(m.Unit, m.Index)
+	if err != nil {
+		return PPA{}, 0, 0, false
+	}
+	return ppa, m.Stream, m.DataLen, true
+}
+
+// readEngine runs the phases of a batched read. Reclaimer.ReadBatch is
+// semantically one read per op in submission (Seq) order, restructured
+// so the expensive parts run concurrently without perturbing any
+// result:
 //
-//	resolve — the backend's serial L2P pass, in canonical order: it
-//	          sets every op's fate to its physical page (or its final
-//	          error for an unmapped LPA) and Adds each mapped op
+//	resolve — the serial L2P pass (Reclaimer.readBatch), in canonical
+//	          order: it sets every op's fate to its physical page (or
+//	          its final error for an unmapped LPA) and adds each mapped
+//	          op
 //	read    — per-plane workers execute the resolved reads, one
 //	          whole-plane run per lock acquisition, each plane's ops in
 //	          canonical order so the plane RNG draws (error injection)
@@ -37,10 +99,11 @@ import (
 //
 // Returned payloads alias chip-pool buffers the engine retains; they
 // stay valid until the engine's next batch returns them to their
-// plane's pool. A backend therefore keeps one engine for ReadBatch and
-// another, one op wide, for Read: a device read-ladder re-read inside a
-// batch must not recycle buffers the batch's fates still alias.
-type ReadEngine struct {
+// plane's pool. The Reclaimer therefore keeps one engine for ReadBatch
+// and another, one op wide, for Read: a device read-ladder re-read
+// inside a batch must not recycle buffers the batch's fates still
+// alias.
+type readEngine struct {
 	chip     Flash
 	descs    []readDesc
 	planes   int
@@ -52,7 +115,7 @@ type ReadEngine struct {
 	wg       sync.WaitGroup
 }
 
-// readDesc is one resolved read: added by the backend's resolve pass,
+// readDesc is one resolved read: added by the resolve pass,
 // executed, decoded, then settled.
 type readDesc struct {
 	opIdx     int
@@ -78,11 +141,11 @@ type readDesc struct {
 	derr      error
 }
 
-// Begin starts a batch of up to n ops over chip. It returns the previous
+// begin starts a batch of up to n ops over chip. It returns the previous
 // batch's retained destination buffers to their plane pools — the point
 // at which the previous batch's payloads stop being valid — and sizes
 // the reusable scratch.
-func (e *ReadEngine) Begin(chip Flash, n int) {
+func (e *readEngine) begin(chip Flash, n int) {
 	for p := range e.ret {
 		if len(e.ret[p]) == 0 {
 			continue
@@ -114,10 +177,10 @@ func (e *ReadEngine) Begin(chip Flash, n int) {
 	}
 }
 
-// Add records the resolved read of ops[opIdx]: the physical page it
+// add records the resolved read of ops[opIdx]: the physical page it
 // maps to and the mapping fields its result carries. Adds happen in
-// canonical order, during the backend's serial resolve pass.
-func (e *ReadEngine) Add(opIdx int, lpa int64, ppa PPA, stream StreamID, scheme ecc.Scheme, dataLen, baseFlips int) {
+// canonical order, during the serial resolve pass.
+func (e *readEngine) add(opIdx int, lpa int64, ppa PPA, stream StreamID, scheme ecc.Scheme, dataLen, baseFlips int) {
 	e.descs = append(e.descs, readDesc{
 		opIdx: opIdx, lpa: lpa, ppa: ppa, stream: stream, scheme: scheme,
 		dataLen: dataLen, baseFlips: baseFlips,
@@ -125,12 +188,12 @@ func (e *ReadEngine) Add(opIdx int, lpa int64, ppa PPA, stream StreamID, scheme 
 	})
 }
 
-// Run executes the read, decode, and settle phases for the added ops,
+// run executes the read, decode, and settle phases for the added ops,
 // writing each result into fates[opIdx]. name prefixes read-error
 // wrapping ("ftl", "zns"), rec receives one read event per settled op,
 // and the return value is the number of degraded reads for the
 // backend's telemetry.
-func (e *ReadEngine) Run(ops []BatchReadOp, fates []BatchReadFate, queues, workers int, name string, rec *obs.Recorder) (degraded int64) {
+func (e *readEngine) run(ops []BatchReadOp, fates []BatchReadFate, queues, workers int, name string, rec *obs.Recorder) (degraded int64) {
 	if queues < 1 {
 		queues = 1
 	}
@@ -147,7 +210,7 @@ func (e *ReadEngine) Run(ops []BatchReadOp, fates []BatchReadFate, queues, worke
 // groupPlanes buckets the batch's descriptors by owning plane; each
 // bucket keeps canonical (Seq) order, which is what makes per-plane RNG
 // draws identical to one-by-one reads.
-func (e *ReadEngine) groupPlanes() {
+func (e *readEngine) groupPlanes() {
 	pidx := e.planeIdx[:e.planes]
 	for p := range pidx {
 		pidx[p] = pidx[p][:0]
@@ -165,7 +228,7 @@ func (e *ReadEngine) groupPlanes() {
 // simply leave theirs unused; every buffer is retained and returned at
 // the start of the next batch, so decoded payloads stay valid for the
 // caller in between.
-func (e *ReadEngine) takeBufs() {
+func (e *readEngine) takeBufs() {
 	for p := 0; p < e.planes; p++ {
 		idxs := e.planeIdx[p]
 		if len(idxs) == 0 {
@@ -186,7 +249,7 @@ func (e *ReadEngine) takeBufs() {
 // execReads executes every plane's reads as a single run under one
 // plane-lock acquisition, fanned out across plane workers (static
 // stride assignment: plane p belongs to worker p % nw).
-func (e *ReadEngine) execReads(workers int) {
+func (e *readEngine) execReads(workers int) {
 	if len(e.descs) == 0 {
 		return
 	}
@@ -209,7 +272,7 @@ func (e *ReadEngine) execReads(workers int) {
 // execPlanesAsync runs one plane worker on its own goroutine; a method
 // call rather than a closure over the batch so the spawn captures
 // nothing but the engine.
-func (e *ReadEngine) execPlanesAsync(w, nw int) {
+func (e *readEngine) execPlanesAsync(w, nw int) {
 	go func() {
 		defer e.wg.Done()
 		e.execPlanes(w, nw)
@@ -218,7 +281,7 @@ func (e *ReadEngine) execPlanesAsync(w, nw int) {
 
 // execPlanes executes every plane assigned to worker w, each as one
 // read run in canonical order.
-func (e *ReadEngine) execPlanes(w, nw int) {
+func (e *readEngine) execPlanes(w, nw int) {
 	for p := w; p < e.planes; p += nw {
 		idxs := e.planeIdx[p]
 		if len(idxs) == 0 {
@@ -245,7 +308,7 @@ func (e *ReadEngine) execPlanes(w, nw int) {
 // workers allow. Each descriptor writes only its own buffer and its own
 // fields, so queues share nothing. Decoding is a pure function of the
 // bytes the read phase produced; telemetry waits for the serial settle.
-func (e *ReadEngine) decode(ops []BatchReadOp, queues, workers int) {
+func (e *readEngine) decode(ops []BatchReadOp, queues, workers int) {
 	if workers > 1 && queues > 1 {
 		for q := 1; q < queues; q++ {
 			e.wg.Add(1)
@@ -261,7 +324,7 @@ func (e *ReadEngine) decode(ops []BatchReadOp, queues, workers int) {
 }
 
 // decodeAsync runs decodeQueue on its own goroutine.
-func (e *ReadEngine) decodeAsync(ops []BatchReadOp, q, queues int) {
+func (e *readEngine) decodeAsync(ops []BatchReadOp, q, queues int) {
 	go func() {
 		defer e.wg.Done()
 		e.decodeQueue(ops, q, queues)
@@ -269,7 +332,7 @@ func (e *ReadEngine) decodeAsync(ops []BatchReadOp, q, queues int) {
 }
 
 // decodeQueue decodes queue q's payload descriptors.
-func (e *ReadEngine) decodeQueue(ops []BatchReadOp, q, queues int) {
+func (e *readEngine) decodeQueue(ops []BatchReadOp, q, queues int) {
 	for di := range e.descs {
 		d := &e.descs[di]
 		if d.rerr != nil || d.raw.Data == nil {
@@ -288,7 +351,7 @@ func (e *ReadEngine) decodeQueue(ops []BatchReadOp, q, queues int) {
 
 // settle is one serial pass in canonical order applying telemetry and
 // building each op's result.
-func (e *ReadEngine) settle(fates []BatchReadFate, name string, rec *obs.Recorder) (degraded int64) {
+func (e *readEngine) settle(fates []BatchReadFate, name string, rec *obs.Recorder) (degraded int64) {
 	for di := range e.descs {
 		d := &e.descs[di]
 		if d.rerr != nil {

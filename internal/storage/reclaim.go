@@ -109,13 +109,15 @@ type ReclaimConfig struct {
 
 // Reclaimer is the reclaim policy and the state it runs over: the erase
 // units, the active-unit slots, the dense mapping tables, the shared
-// telemetry counters and the capacity-callback latch. Both backends
-// embed one, so its methods serve their storage.Backend surface.
+// telemetry counters and the capacity-callback latch. It also resolves
+// reads and checks the mapping tables. Both backends embed one, so its
+// methods serve their storage.Backend surface.
 type Reclaimer struct {
 	// Units is the per-unit state the backend maintains.
 	Units []Unit
 	// Active holds the unit taking appends per (stream, lifetime bin)
-	// slot (see ActiveSlot); -1 means none.
+	// slot (see ActiveSlot); -1 means none. Only Activate and Deactivate
+	// write it, so an active unit's Owner and Bin always name its slot.
 	Active []int
 	// L2P is indexed directly by LPA and grows on demand; P2L is indexed
 	// by unit*stride+index, -1 meaning no live page.
@@ -157,6 +159,12 @@ type Reclaimer struct {
 	// reloc is the relocation scratch (GC, scrub, reclassification);
 	// relocations never nest, since their programs never run GC.
 	reloc Relocation
+	// rs runs ReadBatch; r1 runs Read, one op wide, so a per-op read
+	// never recycles the buffers an outstanding batch's payloads alias
+	// (see readEngine).
+	rs, r1 readEngine
+	r1op   [1]BatchReadOp
+	r1fate [1]BatchReadFate
 
 	onCapacity func(usablePages int)
 	capDirty   bool
@@ -196,22 +204,23 @@ func ActiveSlot(id StreamID, h LifetimeHint) int {
 	return int(id)*NumLifetimeHints + int(h)
 }
 
-// IsActive reports whether u is some slot's active unit.
-func (r *Reclaimer) IsActive(u int) bool {
-	for _, a := range r.Active {
-		if a == u {
-			return true
-		}
-	}
-	return false
+// slotOf returns the active-unit slot unit u's Owner and Bin name.
+func (r *Reclaimer) slotOf(u int) int {
+	un := &r.Units[u]
+	return ActiveSlot(un.Owner, un.Bin)
 }
 
-// Deactivate clears every slot holding u.
+// Activate installs unit u as the active unit of the slot its Owner and
+// Bin name.
+func (r *Reclaimer) Activate(u int) { r.Active[r.slotOf(u)] = u }
+
+// IsActive reports whether u is some slot's active unit.
+func (r *Reclaimer) IsActive(u int) bool { return r.Active[r.slotOf(u)] == u }
+
+// Deactivate clears u's slot if u holds it.
 func (r *Reclaimer) Deactivate(u int) {
-	for i, a := range r.Active {
-		if a == u {
-			r.Active[i] = -1
-		}
+	if s := r.slotOf(u); r.Active[s] == u {
+		r.Active[s] = -1
 	}
 }
 

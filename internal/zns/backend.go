@@ -35,7 +35,6 @@ type Backend struct {
 	obs     *obs.Recorder
 	cfg     BackendConfig // as given; Recover remounts from it
 
-	zcap        int
 	gcLow       int // empty-zone low water triggering GC
 	reserve     int // zones held back as relocation headroom
 	logicalSz   int
@@ -43,15 +42,9 @@ type Backend struct {
 
 	// bs is WriteBatch's reusable scratch (see batch.go).
 	bs batchScratch
-	// rs runs ReadBatch; r1 runs Read, one op wide, so a per-op read
-	// never recycles the buffers an outstanding batch's payloads alias
-	// (see storage.ReadEngine).
-	rs, r1 storage.ReadEngine
-	// One-op scratch for Write and Read: per-op calls are batches of one.
+	// One-op scratch for Write: per-op calls are batches of one.
 	w1op   [1]storage.BatchOp
 	w1fate [1]storage.BatchFate
-	r1op   [1]storage.BatchReadOp
-	r1fate [1]storage.BatchReadFate
 }
 
 // BackendConfig configures the zoned backend. The field vocabulary
@@ -159,7 +152,6 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		attrs:     attrs,
 		obs:       cfg.Obs,
 		cfg:       cfg,
-		zcap:      zcap,
 		gcLow:     low,
 		reserve:   reserve,
 		logicalSz: cfg.Chip.Geometry().PageSize,
@@ -239,11 +231,11 @@ func (b *Backend) emptyZones() int {
 	return n
 }
 
-// openFor opens the best empty zone for the (stream, bin): min-wear for
-// wear-leveled streams, max-wear (keep reusing the hot zones) otherwise
-// — the zone-granular analog of the FTL's allocation policy. The bin is
-// recorded on the zone so dead-data-aware GC and crash recovery see the
-// same placement.
+// openFor opens the best empty zone for the (stream, bin) and installs
+// it as the slot's active zone: min-wear for wear-leveled streams,
+// max-wear (keep reusing the hot zones) otherwise — the zone-granular
+// analog of the FTL's allocation policy. The bin is recorded on the
+// zone so dead-data-aware GC and crash recovery see the same placement.
 func (b *Backend) openFor(id storage.StreamID, h storage.LifetimeHint) (int, error) {
 	pol := &b.streams[id]
 	best := -1
@@ -276,6 +268,7 @@ func (b *Backend) openFor(id storage.StreamID, h storage.LifetimeHint) (int, err
 	}
 	u := &b.Units[best]
 	u.Owner, u.Bin, u.Parks, u.InUse = id, h, 0, true
+	b.Activate(best)
 	return best, nil
 }
 
@@ -283,15 +276,14 @@ func (b *Backend) openFor(id storage.StreamID, h storage.LifetimeHint) (int, err
 // accepts appends (the device seals zones at capacity and on program
 // failure).
 func (b *Backend) activeWritable(id storage.StreamID, h storage.LifetimeHint) (int, error) {
-	s := storage.ActiveSlot(id, h)
-	z := b.Active[s]
+	z := b.Active[storage.ActiveSlot(id, h)]
 	if z < 0 {
 		return -1, nil
 	}
 	if b.dev.zones[z].state == ZoneOpen {
 		return z, nil
 	}
-	b.Active[s] = -1
+	b.Deactivate(z)
 	return -1, nil
 }
 
@@ -316,12 +308,7 @@ func (b *Backend) writableZone(id storage.StreamID, h storage.LifetimeHint) (int
 	if b.emptyZones() <= b.reserve {
 		return -1, storage.ErrNoSpace
 	}
-	z, err := b.openFor(id, h)
-	if err != nil {
-		return -1, err
-	}
-	b.Active[storage.ActiveSlot(id, h)] = z
-	return z, nil
+	return b.openFor(id, h)
 }
 
 // relocZone returns an appendable zone for relocation; it may dip into
@@ -330,12 +317,7 @@ func (b *Backend) relocZone(id storage.StreamID, h storage.LifetimeHint) (int, e
 	if z, err := b.activeWritable(id, h); err != nil || z >= 0 {
 		return z, err
 	}
-	z, err := b.openFor(id, h)
-	if err != nil {
-		return -1, err
-	}
-	b.Active[storage.ActiveSlot(id, h)] = z
-	return z, nil
+	return b.openFor(id, h)
 }
 
 // Write stores data (length <= LogicalPageSize) at lpa under the given
@@ -362,7 +344,6 @@ func (b *Backend) Write(lpa int64, data []byte, dataLen int, id storage.StreamID
 // so batched callers can stamp virtual-time lanes.
 func (b *Backend) appendCore(stored []byte, storedLen int, tag flash.PageTag, host bool) (zn, idx, blk, page int, err error) {
 	id, hint := storage.StreamID(tag.Stream), storage.LifetimeHint(tag.Hint)
-	s := storage.ActiveSlot(id, hint)
 	for attempt := 0; attempt < storage.MaxProgramAttempts; attempt++ {
 		var z int
 		var err error
@@ -387,8 +368,8 @@ func (b *Backend) appendCore(stored []byte, storedLen int, tag flash.PageTag, ho
 		idx, blk, page, aerr := b.dev.Append(z, stored, storedLen, int(tag.DataLen), tag)
 		if aerr == nil {
 			// The device seals the zone when the append hits capacity.
-			if b.dev.zones[z].state != ZoneOpen && b.Active[s] == z {
-				b.Active[s] = -1
+			if b.dev.zones[z].state != ZoneOpen {
+				b.Deactivate(z)
 			}
 			b.Units[z].Programmed = b.dev.zones[z].wp
 			b.FlashPrograms++
@@ -399,7 +380,7 @@ func (b *Backend) appendCore(stored []byte, storedLen int, tag flash.PageTag, ho
 			return -1, -1, -1, -1, fmt.Errorf("zns: append zone %d: %w", z, aerr)
 		}
 		b.ProgFailures++
-		b.Active[s] = -1
+		b.Deactivate(z)
 	}
 	return -1, -1, -1, -1, fmt.Errorf("zns: %d consecutive program failures: %w", storage.MaxProgramAttempts, flash.ErrProgramFail)
 }
@@ -423,52 +404,6 @@ func (b *Backend) drop(m storage.Mapping) {
 	u.Stale++
 }
 
-// ReadBatch implements storage.Backend: the backend resolves every op
-// to its zone location in canonical order and the shared read engine
-// runs the read, decode, and settle phases. Zone reads have no shared
-// cursor (unlike appends), so the batch fans out across planes exactly
-// like the device-side FTL's: a zone's blocks are consecutive chip
-// blocks striped across planes. Results are identical for every
-// (queues, workers) pair.
-func (b *Backend) ReadBatch(ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
-	b.readBatch(&b.rs, ops, fates, queues, workers)
-}
-
-// Read fetches lpa, decoding through the stream's ECC scheme: a one-op
-// batch on the backend's one-op engine. The payload stays valid until
-// the next Read.
-func (b *Backend) Read(lpa int64) (storage.ReadResult, error) {
-	b.r1op[0] = storage.BatchReadOp{LPA: lpa}
-	b.readBatch(&b.r1, b.r1op[:], b.r1fate[:], 1, 1)
-	return b.r1fate[0].Res, b.r1fate[0].Err
-}
-
-// readBatch is the resolve pass: unmapped or unlocatable LPAs get their
-// final fate here; the rest go to the engine with everything later
-// phases need, so no phase touches the L2P table concurrently.
-func (b *Backend) readBatch(e *storage.ReadEngine, ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
-	if len(ops) == 0 {
-		return
-	}
-	e.Begin(b.chip, len(ops))
-	for i := range ops {
-		fates[i] = storage.BatchReadFate{Block: -1, Page: -1}
-		m, ok := b.Lookup(ops[i].LPA)
-		if !ok {
-			fates[i].Err = storage.ErrUnknownLPA
-			continue
-		}
-		blk, page, err := b.dev.zones[m.Unit].locate(m.Index)
-		if err != nil {
-			fates[i].Err = err
-			continue
-		}
-		fates[i].Block, fates[i].Page = blk, page
-		e.Add(i, ops[i].LPA, storage.PPA{Block: blk, Page: page}, m.Stream, b.streams[m.Stream].Scheme, m.DataLen, m.BaseFlips)
-	}
-	b.DegradedReads += e.Run(ops, fates, queues, workers, "zns", b.obs)
-}
-
 // Trim drops the mapping for lpa (host discard / file delete).
 func (b *Backend) Trim(lpa int64) error {
 	m, ok := b.Lookup(lpa)
@@ -478,21 +413,6 @@ func (b *Backend) Trim(lpa int64) error {
 	b.drop(m)
 	b.ClearMapping(lpa)
 	return nil
-}
-
-// Locate reports where a mapped lpa physically lives in chip
-// coordinates, so the device layer's fault ladder works identically
-// over both backends.
-func (b *Backend) Locate(lpa int64) (ppa storage.PPA, stream storage.StreamID, dataLen int, ok bool) {
-	m, found := b.Lookup(lpa)
-	if !found {
-		return storage.PPA{}, 0, 0, false
-	}
-	blk, page, err := b.dev.zones[m.Unit].locate(m.Index)
-	if err != nil {
-		return storage.PPA{}, 0, 0, false
-	}
-	return storage.PPA{Block: blk, Page: page}, m.Stream, m.DataLen, true
 }
 
 // resetZone resets a drained zone; the device applies wear policy and
@@ -566,16 +486,8 @@ func (b *Backend) Quarantine(blk int) error {
 func (b *Backend) UsablePages() int {
 	total := 0
 	for z := range b.dev.zones {
-		zn := &b.dev.zones[z]
-		if zn.state == ZoneOffline {
-			continue
-		}
-		for _, blk := range zn.blocks {
-			pages, err := b.chip.PagesIn(blk)
-			if err != nil {
-				continue
-			}
-			total += pages
+		if zn := &b.dev.zones[z]; zn.state != ZoneOffline {
+			total += zn.capacity
 		}
 	}
 	total -= b.reserve * b.dev.perZone * b.chip.Geometry().PagesPerBlock

@@ -214,7 +214,7 @@ func (nb *Backend) rebuild() error {
 			if best < 0 {
 				continue
 			}
-			nb.Active[storage.ActiveSlot(storage.StreamID(id), hint)] = best
+			nb.Activate(best)
 			for z := range d.zones {
 				if u := &nb.Units[z]; z != best && d.zones[z].state == ZoneOpen && u.Owner == storage.StreamID(id) && u.Bin == hint {
 					d.zones[z].state = ZoneFull
