@@ -37,18 +37,20 @@ torture:
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target —
 # Reed-Solomon decode, the Hamming scheme, the backend reference model,
-# then the Prometheus exposition validator — beyond the seed corpora
-# (which plain go test replays). go test takes one -fuzz target per
-# call. A backend-model input is slow to run (two backends, every LPA
-# checked after every op), an exposition input starts from a 3 KB
-# scrape golden, and minimizing a new Hamming input stalls the run, so
-# minimizing would otherwise take the rest of the ten seconds;
-# -fuzzminimizetime 1s caps that and leaves the budget to fuzzing. It
-# changes how the time is spent, not what is checked.
+# backend recovery over fuzzed OOB tags, then the Prometheus exposition
+# validator — beyond the seed corpora (which plain go test replays).
+# go test takes one -fuzz target per call. A backend-model input is
+# slow to run (two backends, every LPA checked after every op), an
+# exposition input starts from a 3 KB scrape golden, and minimizing a
+# new Hamming input stalls the run, so minimizing would otherwise take
+# the rest of the ten seconds; -fuzzminimizetime 1s caps that and
+# leaves the budget to fuzzing. It changes how the time is spent, not
+# what is checked.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRSDecodeInPlace$$' -fuzztime 10s ./internal/ecc
 	go test -run '^$$' -fuzz '^FuzzHammingScheme$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
 	go test -run '^$$' -fuzz '^FuzzBackendModel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/device
+	go test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/device
 	go test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
 
 verify-all: verify verify-race torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement

@@ -184,10 +184,7 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 			break
 		}
 		id := op.Stream
-		b, err := f.activeWritable(id, op.Hint)
-		if err != nil {
-			break // let the slow path surface chip errors
-		}
+		b := f.activeWritable(id, op.Hint)
 		if b < 0 {
 			// Allocation needed: only when it cannot trigger GC or the
 			// static wear-leveling check — those run writeOne-only.
@@ -198,6 +195,7 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 				break
 			}
 			f.allocsSinceWL++
+			var err error
 			if b, err = f.allocBlock(id, op.Hint); err != nil {
 				break
 			}

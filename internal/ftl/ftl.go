@@ -64,16 +64,27 @@ const DefaultRetireRBER = storage.DefaultRetireRBER
 type blockState struct {
 	retired   bool
 	resuscIdx int // next index into the owner's Resuscitate ladder
+	// info is the block's chip BlockInfo as read when it was last
+	// allocated (or adopted by Rebuild). While the block is in use its
+	// Mode, PEC, Pages, RatedPEC and WearFrac stay what the chip says:
+	// only Erase and SetMode move them, and the FTL issues neither to
+	// an allocated block until it frees it. Reclamation reads them here
+	// without a chip call. NextPage and Retired are not kept current,
+	// and a free block's entry is stale: the free pool is read from the
+	// chip, since a caller may wear free blocks through Chip().
+	info flash.BlockInfo
 }
 
 // FTL is the translation layer over a single chip (or any Flash, e.g. a
 // fault-injection interposer).
 //
-// Its storage.Reclaimer holds one Unit per block and the dense mapping
-// tables: L2P indexed directly by LPA (the logical address space is
-// dense and non-negative: the fs hands out LBAs sequentially), P2L by
-// block*ppb+page, sized once from the geometry (native mode has the
-// most pages per block). Its Active slots hold the partially programmed
+// Its storage.Reclaimer holds one Unit per block and the mapping
+// tables: L2P indexed directly by LPA, P2L by block*ppb+page, sized
+// once from the geometry (native mode has the most pages per block).
+// L2P is indexed densely but the logical space is not dense: the fs
+// hands out LBAs sequentially and never reuses them, so L2P grows to
+// the highest LBA ever written, many times the physical page count on
+// a long-lived device. Its Active slots hold the partially programmed
 // block per (stream, lifetime bin); the HintNone column is the pre-hint
 // behavior: unhinted writes see exactly one active block per stream, as
 // they always did. A Unit's Condemned flag marks a block whose
@@ -270,10 +281,14 @@ func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 		if err := f.chip.SetMode(b, want); err != nil {
 			return -1, err
 		}
+		if info, err = f.chip.Info(b); err != nil {
+			return -1, err
+		}
 		// A mode switch changes the block's page count and therefore
 		// the device's usable capacity; notify when safe.
 		f.NotifyCapacity()
 	}
+	f.blocks[b].info = info
 	f.Units[b] = storage.Unit{Owner: id, Bin: h, InUse: true}
 	f.Activate(b)
 	return b, nil
@@ -282,28 +297,24 @@ func (f *FTL) allocBlock(id StreamID, h storage.LifetimeHint) (int, error) {
 // activeWritable returns the (stream, bin) slot's current active block
 // if it still has room, rotating it out when full. Returns -1 when a new
 // allocation is needed.
-func (f *FTL) activeWritable(id StreamID, h storage.LifetimeHint) (int, error) {
+func (f *FTL) activeWritable(id StreamID, h storage.LifetimeHint) int {
 	b := f.Active[storage.ActiveSlot(id, h)]
 	if b < 0 {
-		return -1, nil
+		return -1
 	}
-	pages, err := f.chip.PagesIn(b)
-	if err != nil {
-		return -1, err
-	}
-	if f.Units[b].Programmed < pages {
-		return b, nil
+	if f.Units[b].Programmed < f.blocks[b].info.Pages {
+		return b
 	}
 	// Block full; it remains owned by the stream for GC accounting.
 	f.Deactivate(b)
-	return -1, nil
+	return -1
 }
 
 // writableActive returns the (stream, bin) slot's active block with
 // space for one more page, allocating or rotating blocks as needed.
 func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
-	if b, err := f.activeWritable(id, h); err != nil || b >= 0 {
-		return b, err
+	if b := f.activeWritable(id, h); b >= 0 {
+		return b, nil
 	}
 	// Reclaim until the pool is healthy or GC stops making progress.
 	for len(f.freePool) <= f.gcLow {
@@ -315,26 +326,26 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 	}
 	// GC relocation may have installed a fresh active block for this
 	// slot; reuse it rather than stranding it behind a new allocation.
-	if b, err := f.activeWritable(id, h); err != nil || b >= 0 {
-		return b, err
+	if b := f.activeWritable(id, h); b >= 0 {
+		return b, nil
 	}
 	// Host allocations never drain the reserve: those blocks are GC's
 	// relocation headroom (real SSD over-provisioning).
 	if len(f.freePool) <= f.reserve {
 		return -1, ErrNoSpace
 	}
-	// Periodically check static wear leveling for leveled streams
-	// (cold blocks otherwise never re-enter rotation). Rate-limited:
-	// sweeping a cold block costs a whole block's worth of relocation,
-	// so doing it on every allocation would dominate write
-	// amplification.
+	// Every staticWLCheckEvery allocations, also check static wear
+	// leveling here (cold blocks otherwise never re-enter rotation).
+	// Only this allocation-path check is rate-limited: unitOps.Level
+	// runs the same check after every GC pass, which is where almost
+	// all checks happen under write pressure.
 	f.allocsSinceWL++
 	if f.allocsSinceWL >= staticWLCheckEvery {
 		f.allocsSinceWL = 0
 		f.maybeStaticWL(id)
-		if b, err := f.activeWritable(id, h); err != nil || b >= 0 {
+		if b := f.activeWritable(id, h); b >= 0 {
 			// Static WL may have installed an active block.
-			return b, err
+			return b, nil
 		}
 	}
 	return f.allocBlock(id, h)

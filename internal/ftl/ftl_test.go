@@ -3,11 +3,13 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/sim"
+	"sos/internal/storage"
 )
 
 // Stream ids used across tests.
@@ -565,6 +567,69 @@ func TestL2PInvariant(t *testing.T) {
 // checkInvariants delegates to the exported checker (invariants.go),
 // which the crash-torture harness shares.
 func checkInvariants(f *FTL) error { return CheckInvariants(f) }
+
+// TestInvariantsCatchStaleWear tampers with an in-use block's
+// allocation snapshot: a PEC, then a page count, then a wear fraction
+// that disagree with the chip must each fail CheckInvariants, and the
+// restored snapshot must pass.
+func TestInvariantsCatchStaleWear(t *testing.T) {
+	f, _ := testFTL(t, 16)
+	if err := f.Write(1, bytes.Repeat([]byte{1}, 64), 0, sysStream); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := f.Lookup(1)
+	snap := &f.blocks[m.Unit].info
+	orig := *snap
+	for _, row := range []struct {
+		name   string
+		tamper func()
+	}{
+		{"pec", func() { snap.PEC++ }},
+		{"pages", func() { snap.Pages-- }},
+		{"wear", func() { snap.WearFrac += 0.01 }},
+	} {
+		row.tamper()
+		if err := CheckInvariants(f); err == nil || !strings.Contains(err.Error(), "snapshot") {
+			t.Fatalf("stale %s: got %v", row.name, err)
+		}
+		*snap = orig
+		if err := CheckInvariants(f); err != nil {
+			t.Fatalf("restored %s rejected: %v", row.name, err)
+		}
+	}
+}
+
+// TestAllocationReadsFreeWearFromChip pins why only allocated blocks
+// keep a wear snapshot: callers wear free blocks of a live FTL through
+// Chip(), so the min-wear allocation must read the free pool from the
+// chip. The free block the scan would take next is erased through the
+// chip, and the next allocation must pass it over.
+func TestAllocationReadsFreeWearFromChip(t *testing.T) {
+	f, _ := testFTL(t, 16)
+	if err := f.Write(0, nil, 64, sysStream); err != nil {
+		t.Fatal(err)
+	}
+	slot := storage.ActiveSlot(sysStream, storage.HintNone)
+	first := f.Active[slot]
+	// Every free block is unworn, so the scan takes the pool's first.
+	worn := f.freePool[0]
+	for i := 0; i < 3; i++ {
+		if err := f.Chip().Erase(worn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lpa := int64(1); f.Active[slot] == first; lpa++ {
+		if err := f.Write(lpa, nil, 64, sysStream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.Active[slot]; got == worn {
+		t.Fatalf("allocated block %d, erased 3 times through the chip, over unworn free blocks", got)
+	}
+	if err := checkInvariants(f); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestInvariantsAfterScrubAndGC(t *testing.T) {
 	rng := sim.NewRNG(88)

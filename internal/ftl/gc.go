@@ -21,11 +21,9 @@ type unitOps struct{ *FTL }
 // FreeUnits returns the free-pool size.
 func (o unitOps) FreeUnits() int { return len(o.freePool) }
 
-// Wear returns block b's wear fraction.
-func (o unitOps) Wear(b int) (float64, error) {
-	info, err := o.chip.Info(b)
-	return info.WearFrac, err
-}
+// Wear returns in-use block b's wear fraction from its allocation
+// snapshot.
+func (o unitOps) Wear(b int) (float64, error) { return o.blocks[b].info.WearFrac, nil }
 
 // PageAddr returns the chip address of page p of block b: a block is
 // its own erase unit.
@@ -56,8 +54,9 @@ func (o unitOps) Level(prefer StreamID) { o.maybeStaticWL(prefer) }
 // relocating cold data off the least-worn block so it rejoins rotation.
 const staticWLGapFrac = 0.25
 
-// staticWLCheckEvery rate-limits static WL evaluation to one check per
-// this many block allocations.
+// staticWLCheckEvery limits the allocation path (writableActive) to one
+// static WL check per this many block allocations. It does not bound
+// the checks unitOps.Level makes after every GC pass.
 const staticWLCheckEvery = 16
 
 // maybeStaticWL performs one static wear-leveling move for the stream if
@@ -78,10 +77,7 @@ func (f *FTL) maybeStaticWL(id StreamID) {
 		if !u.InUse || u.Owner != id || u.Pending > 0 || f.IsActive(b) {
 			continue
 		}
-		info, err := f.chip.Info(b)
-		if err != nil {
-			continue
-		}
+		info := &f.blocks[b].info
 		rated = info.RatedPEC
 		if coldest < 0 || info.PEC < coldPEC {
 			// Only fully-live cold blocks matter: blocks with stale
@@ -112,8 +108,8 @@ func (f *FTL) maybeStaticWL(id StreamID) {
 // destination's (stream, bin) slot without triggering recursive GC; it
 // may dip into the reserve.
 func (f *FTL) relocTarget(id StreamID, h storage.LifetimeHint) (int, error) {
-	if b, err := f.activeWritable(id, h); err != nil || b >= 0 {
-		return b, err
+	if b := f.activeWritable(id, h); b >= 0 {
+		return b, nil
 	}
 	return f.allocBlock(id, h)
 }

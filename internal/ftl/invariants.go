@@ -12,7 +12,9 @@ import (
 //     storage.Reclaimer.CheckMapping;
 //   - the free pool holds only unallocated, non-retired, fully-erased
 //     blocks, with no duplicates;
-//   - retirement bookkeeping agrees with the medium.
+//   - retirement bookkeeping agrees with the medium;
+//   - every in-use block's allocation snapshot (blockState.info) agrees
+//     with the chip on Mode, PEC, Pages, RatedPEC and WearFrac.
 func CheckInvariants(f *FTL) error {
 	if err := f.CheckMapping(); err != nil {
 		return err
@@ -38,7 +40,8 @@ func CheckInvariants(f *FTL) error {
 			return fmt.Errorf("ftl: free-pool block %d retired on chip", b)
 		}
 	}
-	// Retirement bookkeeping must agree with the medium.
+	// Retirement bookkeeping and in-use snapshots must agree with the
+	// medium.
 	for b := range f.blocks {
 		info, err := f.chip.Info(b)
 		if err != nil {
@@ -46,6 +49,11 @@ func CheckInvariants(f *FTL) error {
 		}
 		if f.blocks[b].retired && !info.Retired {
 			return fmt.Errorf("ftl: block %d retired in FTL but live on chip", b)
+		}
+		if s := &f.blocks[b].info; f.Units[b].InUse && (s.Mode != info.Mode || s.PEC != info.PEC ||
+			s.Pages != info.Pages || s.RatedPEC != info.RatedPEC || s.WearFrac != info.WearFrac) {
+			return fmt.Errorf("ftl: in-use block %d snapshot mode %v pec %d pages %d rated %d wear %v, chip has %v %d %d %d %v",
+				b, s.Mode, s.PEC, s.Pages, s.RatedPEC, s.WearFrac, info.Mode, info.PEC, info.Pages, info.RatedPEC, info.WearFrac)
 		}
 	}
 	return nil

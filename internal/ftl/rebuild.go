@@ -39,8 +39,11 @@ func Recover(chip Flash, cfg Config) (*FTL, error) {
 // Semantics after a rebuild:
 //   - every logical page written before the "crash" is mapped again,
 //     with the newest copy (highest serial) winning;
-//   - superseded copies are marked stale so GC can reclaim them;
-//   - per-block wear (PEC) survives in the chip itself;
+//   - superseded copies are marked stale so GC can reclaim them, and
+//     so are pages with no tag or a tag no write could have left
+//     (storage.ValidTag);
+//   - per-block wear (PEC) survives in the chip itself, and every
+//     in-use block's snapshot (blockState.info) is taken from it;
 //   - soft state is conservatively reset: crystallized degradation
 //     estimates (baseFlips) restart at zero, program-failure seals and
 //     resuscitation ladder positions are forgotten (a sealed block will
@@ -54,8 +57,8 @@ func (f *FTL) Rebuild() error {
 		tag flash.PageTag
 	}
 	// best is a dense election table indexed by LPA, grown like l2p;
-	// Serial == 0 marks an empty slot (live tags always carry
-	// Serial >= 1, since the write serial pre-increments from zero).
+	// Serial == 0 marks an empty slot (the write serial pre-increments
+	// from zero, and ValidTag turns a zero-serial tag away).
 	var best []winner
 	var losers []PPA
 
@@ -67,7 +70,7 @@ func (f *FTL) Rebuild() error {
 		if err != nil {
 			return err
 		}
-		f.blocks[b] = blockState{}
+		f.blocks[b] = blockState{info: info}
 		f.Deactivate(b)
 		u := &f.Units[b]
 		*u = storage.Unit{}
@@ -96,14 +99,13 @@ func (f *FTL) Rebuild() error {
 				return err
 			}
 			ppa := PPA{Block: b, Page: p}
-			if !ok {
-				// Untagged page (not written by this FTL): garbage.
+			if !ok || !storage.ValidTag(tag, f.streams, f.logicalSz) {
+				// Untagged page (not written by this FTL) or a tag no
+				// write could have left: garbage.
 				losers = append(losers, ppa)
 				continue
 			}
-			if int(tag.Stream) < len(f.streams) {
-				u.Owner = StreamID(tag.Stream)
-			}
+			u.Owner = StreamID(tag.Stream)
 			if int(tag.Hint) < storage.NumLifetimeHints {
 				u.Bin = storage.LifetimeHint(tag.Hint)
 			}
@@ -168,14 +170,7 @@ func (f *FTL) Rebuild() error {
 	// tags, so hinted placement survives the crash exactly.
 	for b := 0; b < f.chip.Blocks(); b++ {
 		u := &f.Units[b]
-		if !u.InUse {
-			continue
-		}
-		pages, err := f.chip.PagesIn(b)
-		if err != nil {
-			return err
-		}
-		if u.Programmed < pages && f.Active[storage.ActiveSlot(u.Owner, u.Bin)] < 0 {
+		if u.InUse && u.Programmed < f.blocks[b].info.Pages && f.Active[storage.ActiveSlot(u.Owner, u.Bin)] < 0 {
 			f.Activate(b)
 		}
 	}

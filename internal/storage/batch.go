@@ -1,6 +1,9 @@
 package storage
 
-import "sos/internal/ecc"
+import (
+	"sos/internal/ecc"
+	"sos/internal/flash"
+)
 
 // Batched submission: the shape of every logical write and read. The
 // device layer collects a burst of logical ops, deals them across
@@ -67,6 +70,19 @@ func ValidateBatch(ops []BatchOp, fates []BatchFate, streams []StreamPolicy, pag
 			sizes[i] = ecc.StoredLen(streams[op.Stream].Scheme, n)
 		}
 	}
+}
+
+// ValidTag reports whether an OOB tag read back by a rebuild is one a
+// write could have left: a known stream, a non-negative LPA and a
+// payload length in 1..pageSize (what ValidateBatch admits), and a
+// nonzero serial (write serials start at 1; a rebuild's election uses 0
+// for "no candidate yet"). A rebuild treats any other tag like a
+// missing one — its page is garbage — since installing it would map an
+// LPA the read path cannot serve. Only a corrupt image holds such tags:
+// a torn cut persists a whole, valid tag.
+func ValidTag(tag flash.PageTag, streams []StreamPolicy, pageSize int) bool {
+	return int(tag.Stream) < len(streams) && tag.LPA >= 0 &&
+		tag.DataLen >= 1 && int(tag.DataLen) <= pageSize && tag.Serial != 0
 }
 
 // BatchFate is the per-op outcome of a batch, in submission order.

@@ -115,16 +115,12 @@ func (nb *Backend) rebuild() error {
 				return err
 			}
 			dataLen := geo.PageSize
-			if tagged {
+			if tagged && storage.ValidTag(tag, nb.streams, nb.logicalSz) {
 				// A page programmed but never acked to the host still
 				// carries its tag; the serial comparison decides whether
 				// it supersedes or loses to an earlier copy.
-				if n := int(tag.DataLen); n > 0 && n <= geo.PageSize {
-					dataLen = n
-				}
-				if int(tag.Stream) < len(nb.streams) {
-					sawStream = storage.StreamID(tag.Stream)
-				}
+				dataLen = int(tag.DataLen)
+				sawStream = storage.StreamID(tag.Stream)
 				// Zones hold a single bin by construction; any tag's hint
 				// identifies the zone's bin after a crash.
 				if int(tag.Hint) < storage.NumLifetimeHints {
@@ -158,7 +154,8 @@ func (nb *Backend) rebuild() error {
 					}
 				}
 			}
-			// Untagged written pages are torn garbage; they occupy
+			// Untagged written pages are torn garbage, and so are pages
+			// whose tag no write could have left; they occupy
 			// write-pointer space until the zone is reclaimed.
 			zn.lens = append(zn.lens, dataLen)
 		}
