@@ -37,8 +37,9 @@ torture:
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target —
 # Reed-Solomon decode, the Hamming scheme, the backend reference model,
-# backend recovery over fuzzed OOB tags, then the Prometheus exposition
-# validator — beyond the seed corpora (which plain go test replays).
+# backend recovery over fuzzed OOB tags, the Prometheus exposition
+# validator, then the profile, backend and placement name parsers —
+# beyond the seed corpora (which plain go test replays).
 # go test takes one -fuzz target per call. A backend-model input is
 # slow to run (two backends, every LPA checked after every op), an
 # exposition input starts from a 3 KB scrape golden, and minimizing a
@@ -52,6 +53,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzBackendModel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/device
 	go test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/device
 	go test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
+	go test -run '^$$' -fuzz '^FuzzParseNames$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 verify-all: verify verify-race torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement
 

@@ -465,7 +465,7 @@ func BenchmarkFTLWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkFTLRead measures the steady-state read path: dense L2P
+// BenchmarkFTLRead measures the steady-state read path: paged L2P
 // lookup, chip read-ring buffer, no ECC decode copy (ecc.None aliases).
 // The zero-alloc contract asserted by TestFTLReadPathZeroAlloc keeps
 // allocs/op pinned at 0 here.

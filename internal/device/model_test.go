@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sos/internal/ecc"
@@ -435,21 +436,42 @@ func TestBackendModel(t *testing.T) {
 
 // TestInvariantsCatchTampering corrupts one piece of the state the
 // shared Reclaimer holds, on each backend, and requires CheckInvariants
-// to reject it.
+// to reject it. The L2P table is private to storage, so its rows go
+// through Lookup and SetMapping; a row with want set must be caught by
+// the check whose message contains it.
 func TestInvariantsCatchTampering(t *testing.T) {
+	lookup := func(r *storage.Reclaimer, lpa int64) storage.Mapping {
+		m, ok := r.Lookup(lpa)
+		if !ok {
+			t.Fatalf("lpa %d unmapped", lpa)
+		}
+		return m
+	}
 	rows := []struct {
 		name   string
 		tamper func(r *storage.Reclaimer)
+		want   string
 	}{
 		{"p2l back-pointer swap", func(r *storage.Reclaimer) {
-			a, b := r.L2P[0], r.L2P[1]
+			a, b := lookup(r, 0), lookup(r, 1)
 			pa, pb := r.PageIndex(a.Unit, a.Index), r.PageIndex(b.Unit, b.Index)
 			r.P2L[pa], r.P2L[pb] = r.P2L[pb], r.P2L[pa]
-		}},
-		{"live-count desync", func(r *storage.Reclaimer) { r.Units[r.L2P[0].Unit].Live++ }},
-		{"mapping on an unknown stream", func(r *storage.Reclaimer) { r.L2P[0].Stream = storage.StreamID(len(modelStreams())) }},
-		{"active slot holds a condemned unit", func(r *storage.Reclaimer) { r.Units[r.Active[0]].Condemned = true }},
-		{"active unit's bin names another slot", func(r *storage.Reclaimer) { r.Units[r.Active[0]].Bin = storage.HintHot }},
+		}, ""},
+		{"live-count desync", func(r *storage.Reclaimer) { r.Units[lookup(r, 0).Unit].Live++ }, ""},
+		{"mapping on an unknown stream", func(r *storage.Reclaimer) {
+			m := lookup(r, 0)
+			m.Stream = storage.StreamID(len(modelStreams()))
+			r.SetMapping(0, m)
+		}, ""},
+		{"active slot holds a condemned unit", func(r *storage.Reclaimer) { r.Units[r.Active[0]].Condemned = true }, ""},
+		{"active unit's bin names another slot", func(r *storage.Reclaimer) { r.Units[r.Active[0]].Bin = storage.HintHot }, ""},
+		// A referenced pool entry holding the zero Mapping reads as free:
+		// the pool accounting must reject it.
+		{"l2p pool entry referenced but empty", func(r *storage.Reclaimer) {
+			m := lookup(r, 1)
+			m.DataLen = 0
+			r.SetMapping(1, m)
+		}, "pool entry"},
 	}
 	for _, kind := range storage.Kinds() {
 		for _, row := range rows {
@@ -473,8 +495,12 @@ func TestInvariantsCatchTampering(t *testing.T) {
 					t.Fatalf("unknown backend %T", m.be)
 				}
 				row.tamper(r)
-				if err := m.be.CheckInvariants(); err == nil {
+				err := m.be.CheckInvariants()
+				if err == nil {
 					t.Fatal("CheckInvariants accepted the tampered state")
+				}
+				if !strings.Contains(err.Error(), row.want) {
+					t.Fatalf("CheckInvariants = %v, want the check naming %q", err, row.want)
 				}
 			})
 		}

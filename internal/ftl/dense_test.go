@@ -2,11 +2,13 @@ package ftl
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/sim"
+	"sos/internal/storage"
 )
 
 // noneFTL builds an FTL with a single no-ECC native stream — the
@@ -38,7 +40,7 @@ func noneFTL(t testing.TB, blocks int) *FTL {
 }
 
 // TestFTLReadPathZeroAlloc pins the steady-state read path at zero
-// allocations per operation: dense L2P lookup, chip read-ring buffer,
+// allocations per operation: paged L2P lookup, chip read-ring buffer,
 // aliasing ecc.None decode. A regression here means a hot-path
 // allocation crept back in (see DESIGN.md §9).
 func TestFTLReadPathZeroAlloc(t *testing.T) {
@@ -67,22 +69,26 @@ func TestFTLReadPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDenseL2PGrowthSparseLPA exercises the dense table's on-demand
-// growth: a write far beyond the current table must grow it without
-// disturbing existing mappings, and negative LPAs (which a dense table
-// cannot index) must be rejected with ErrBadLPA.
-func TestDenseL2PGrowthSparseLPA(t *testing.T) {
+// TestPagedL2PSparseLPA exercises the paged table on a sparse logical
+// space: a write far beyond every mapped LPA costs one leaf and a
+// longer directory, not a table reaching that LPA, and disturbs no
+// existing mapping; trimming it drops its leaf again (CheckInvariants
+// rejects an empty leaf left in the directory); LPAs outside
+// 0..MaxLPA are rejected with ErrBadLPA.
+func TestPagedL2PSparseLPA(t *testing.T) {
 	f := noneFTL(t, 16)
 	data := make([]byte, 512)
 	if err := f.Write(0, data, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	const far = int64(100_000)
+	// A dense table would allocate far entries of 56 B (5.6 MB) here.
+	before := heapAllocated()
 	if err := f.Write(far, data, 0, 0); err != nil {
 		t.Fatalf("sparse write at lpa %d: %v", far, err)
 	}
-	if int64(len(f.L2P)) <= far {
-		t.Fatalf("l2p did not grow: len %d for lpa %d", len(f.L2P), far)
+	if grew := heapAllocated() - before; grew > 64<<10 {
+		t.Fatalf("sparse write at lpa %d allocated %d bytes, want about one leaf", far, grew)
 	}
 	for _, lpa := range []int64{0, far} {
 		if _, err := f.Read(lpa); err != nil {
@@ -92,12 +98,33 @@ func TestDenseL2PGrowthSparseLPA(t *testing.T) {
 	if f.MappedPages() != 2 {
 		t.Fatalf("mapped = %d, want 2", f.MappedPages())
 	}
-	if err := f.Write(-1, data, 0, 0); !errors.Is(err, ErrBadLPA) {
-		t.Fatalf("negative lpa returned %v, want ErrBadLPA", err)
+	if err := CheckInvariants(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Trim(far); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Read(far); !errors.Is(err, ErrUnknownLPA) {
+		t.Fatalf("trimmed lpa %d reads %v", far, err)
+	}
+	if _, err := f.Read(0); err != nil || f.MappedPages() != 1 {
+		t.Fatalf("read 0 after trim: %v, %d mapped", err, f.MappedPages())
+	}
+	for _, lpa := range []int64{-1, storage.MaxLPA + 1, 1 << 62} {
+		if err := f.Write(lpa, data, 0, 0); !errors.Is(err, ErrBadLPA) {
+			t.Fatalf("lpa %d returned %v, want ErrBadLPA", lpa, err)
+		}
 	}
 	if err := CheckInvariants(f); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// heapAllocated returns the bytes the process has heap-allocated so far.
+func heapAllocated() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // TestDenseP2LInvalidationOnQuarantine retires a block holding live
@@ -144,19 +171,24 @@ func TestDenseP2LInvalidationOnQuarantine(t *testing.T) {
 	}
 }
 
-// TestDenseL2PGrowthAcrossCapacityVariance interleaves table growth
-// with the capacity-variance machinery: blocks wear out, resuscitate at
-// lower density, and eventually retire while the host keeps mapping
-// fresh, ever-higher LPAs. The dense tables must stay exact inverses
+// TestPagedL2PAcrossCapacityVariance interleaves leaf allocation and
+// release with the capacity-variance machinery: blocks wear out,
+// resuscitate at lower density, and eventually retire while the host
+// keeps mapping fresh, ever-higher LPAs — crossing into a new leaf
+// every twenty or so — and trims each one once it falls thirty fresh
+// LPAs behind, so low leaves drain and leave the directory. The tables
+// must stay exact inverses, and the table's own accounting exact,
 // throughout the shrink/regrow churn.
-func TestDenseL2PGrowthAcrossCapacityVariance(t *testing.T) {
+func TestPagedL2PAcrossCapacityVariance(t *testing.T) {
 	f, _ := testFTL(t, 8)
 	data := make([]byte, 64)
 	next := int64(1000) // fresh LPAs force growth as capacity varies
+	var fresh []int64
 	for i := 0; i < 400*8*10; i++ {
 		var lpa int64
 		if i%97 == 0 {
 			lpa, next = next, next+50
+			fresh = append(fresh, lpa)
 		} else {
 			lpa = int64(i % 20)
 		}
@@ -167,6 +199,12 @@ func TestDenseL2PGrowthAcrossCapacityVariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
+		if len(fresh) > 30 {
+			if err := f.Trim(fresh[0]); err != nil {
+				t.Fatalf("trim %d: %v", fresh[0], err)
+			}
+			fresh = fresh[1:]
+		}
 		if i%1000 == 0 {
 			if err := CheckInvariants(f); err != nil {
 				t.Fatalf("invariants at write %d: %v", i, err)
@@ -176,20 +214,33 @@ func TestDenseL2PGrowthAcrossCapacityVariance(t *testing.T) {
 	if f.Stats().Resuscitated == 0 {
 		t.Fatal("workload never triggered resuscitation")
 	}
+	// The 30 live fresh LPAs span 1,500; fresh LPAs three 1,024-LPA
+	// leaves past that mean leaves below them drained.
+	if next < 1000+50*30+3*1024 {
+		t.Fatalf("fresh LPAs reached only %d: no leaf drained", next)
+	}
 	if err := CheckInvariants(f); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRecoverDenseTablesMatchGolden rebuilds from the chip and checks
-// the recovered dense tables are entry-for-entry identical to the live
-// FTL's — the dense election (serial-0 sentinel, doubling growth) must
-// reproduce exactly what the incremental path built up.
-func TestRecoverDenseTablesMatchGolden(t *testing.T) {
+// TestRecoverPagedTablesMatchGolden rebuilds from the chip and checks
+// the recovered tables are entry-for-entry identical to the live FTL's
+// — the sort-based election (ascending LPA, newest serial first),
+// installing winners into the paged table across several leaves, must
+// reproduce exactly what the incremental path built up, and the
+// recovered table's own accounting must hold.
+func TestRecoverPagedTablesMatchGolden(t *testing.T) {
 	f, _ := testFTL(t, 16)
 	data := make([]byte, 64)
+	var written []int64
 	for i := 0; i < 300; i++ {
+		// Every fifth write lands 4,096 LPAs up, in another leaf.
 		lpa := int64(i % 37)
+		if i%5 == 0 {
+			lpa += 4 * 1024
+		}
+		written = append(written, lpa)
 		st := sysStream
 		if i%3 == 0 {
 			st = spareStream
@@ -217,16 +268,15 @@ func TestRecoverDenseTablesMatchGolden(t *testing.T) {
 	if nf.MappedPages() != f.MappedPages() {
 		t.Fatalf("recovered %d mappings, golden has %d", nf.MappedPages(), f.MappedPages())
 	}
-	// Forward table: identical entries over the union of both lengths.
-	max := int64(len(f.L2P))
-	if int64(len(nf.L2P)) > max {
-		max = int64(len(nf.L2P))
-	}
-	for lpa := int64(0); lpa < max; lpa++ {
-		gm, gok := f.Lookup(lpa)
-		rm, rok := nf.Lookup(lpa)
-		if gok != rok || gm != rm {
-			t.Fatalf("lpa %d: golden %+v(%v), recovered %+v(%v)", lpa, gm, gok, rm, rok)
+	// Forward table: identical entries at every LPA written and at its
+	// neighbours; with equal mapped counts, nothing else is mapped.
+	for _, w := range written {
+		for lpa := w - 1; lpa <= w+1; lpa++ {
+			gm, gok := f.Lookup(lpa)
+			rm, rok := nf.Lookup(lpa)
+			if gok != rok || gm != rm {
+				t.Fatalf("lpa %d: golden %+v(%v), recovered %+v(%v)", lpa, gm, gok, rm, rok)
+			}
 		}
 	}
 	// Reverse table: same physical slots live, pointing at the same LPAs.

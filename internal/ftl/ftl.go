@@ -79,15 +79,17 @@ type blockState struct {
 // fault-injection interposer).
 //
 // Its storage.Reclaimer holds one Unit per block and the mapping
-// tables: L2P indexed directly by LPA, P2L by block*ppb+page, sized
-// once from the geometry (native mode has the most pages per block).
-// L2P is indexed densely but the logical space is not dense: the fs
-// hands out LBAs sequentially and never reuses them, so L2P grows to
-// the highest LBA ever written, many times the physical page count on
-// a long-lived device. Its Active slots hold the partially programmed
-// block per (stream, lifetime bin); the HintNone column is the pre-hint
-// behavior: unhinted writes see exactly one active block per stream, as
-// they always did. A Unit's Condemned flag marks a block whose
+// tables: P2L indexed by block*ppb+page, sized once from the geometry
+// (native mode has the most pages per block), and the private, paged
+// L2P the FTL reaches through Lookup, SetMapping and ClearMapping. The
+// logical space is not dense — the fs hands out LBAs sequentially and
+// never reuses them, so the highest LBA ever written runs many times
+// the physical page count on a long-lived device — so L2P keeps a pool
+// entry per live page and a leaf per 1,024-LPA span holding one, and
+// LPAs stop at storage.MaxLPA. Its Active slots hold the partially
+// programmed block per (stream, lifetime bin); the HintNone column is
+// the pre-hint behavior: unhinted writes see exactly one active block
+// per stream, as they always did. A Unit's Condemned flag marks a block whose
 // program status failed or that was quarantined: no further programs,
 // GC drains it with priority, and it retires at erase. Its Pending count
 // holds batch placements reserved (page cursor advanced, descriptor

@@ -52,17 +52,17 @@ func (f *FTL) Rebuild() error {
 	if f.MappedPages() != 0 || f.HostWrites != 0 {
 		return ErrNotFresh
 	}
-	type winner struct {
+	// cands holds every valid tagged page in scan order, elect their
+	// election keys (storage.Elect).
+	type cand struct {
 		ppa PPA
 		tag flash.PageTag
 	}
-	// best is a dense election table indexed by LPA, grown like l2p;
-	// Serial == 0 marks an empty slot (the write serial pre-increments
-	// from zero, and ValidTag turns a zero-serial tag away).
-	var best []winner
+	var cands []cand
+	var elect []storage.Candidate
 	var losers []PPA
 
-	// Pass 1: scan every written page, electing the newest copy per LPA.
+	// Pass 1: scan every written page, collecting the candidates.
 	f.freePool = f.freePool[:0]
 	maxSerial := uint64(0)
 	for b := 0; b < f.chip.Blocks(); b++ {
@@ -112,37 +112,25 @@ func (f *FTL) Rebuild() error {
 			if tag.Serial > maxSerial {
 				maxSerial = tag.Serial
 			}
-			if tag.LPA >= int64(len(best)) {
-				n := 2 * int64(len(best))
-				if n < tag.LPA+1 {
-					n = tag.LPA + 1
-				}
-				grown := make([]winner, n)
-				copy(grown, best)
-				best = grown
-			}
-			if w := best[tag.LPA]; w.tag.Serial == 0 || tag.Serial > w.tag.Serial {
-				if w.tag.Serial != 0 {
-					losers = append(losers, w.ppa)
-				}
-				best[tag.LPA] = winner{ppa: ppa, tag: tag}
-			} else {
-				losers = append(losers, ppa)
-			}
+			elect = append(elect, storage.Candidate{LPA: tag.LPA, Serial: tag.Serial, Index: int32(len(cands))})
+			cands = append(cands, cand{ppa: ppa, tag: tag})
 		}
 	}
 
-	// Pass 2: install winners, mark losers stale.
-	for lpa := int64(0); lpa < int64(len(best)); lpa++ {
-		w := best[lpa]
-		if w.tag.Serial == 0 {
+	// Pass 2: elect the newest copy per LPA, install the winners in LPA
+	// order and mark the losers stale.
+	storage.Elect(elect)
+	for i, k := range elect {
+		w := &cands[k.Index]
+		if i > 0 && elect[i-1].LPA == k.LPA {
+			losers = append(losers, w.ppa)
 			continue
 		}
 		hint := storage.LifetimeHint(w.tag.Hint)
 		if int(w.tag.Hint) >= storage.NumLifetimeHints {
 			hint = storage.HintNone
 		}
-		f.SetMapping(lpa, storage.Mapping{
+		f.SetMapping(w.tag.LPA, storage.Mapping{
 			Unit:      w.ppa.Block,
 			Index:     w.ppa.Page,
 			Stream:    StreamID(w.tag.Stream),

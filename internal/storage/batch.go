@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
+
 	"sos/internal/ecc"
 	"sos/internal/flash"
 )
@@ -47,10 +50,11 @@ func (op *BatchOp) PayloadLen() int {
 }
 
 // ValidateBatch is the first phase of every backend's WriteBatch. It
-// resets each op's fate, rejects malformed ops — an unknown stream, a
-// negative LPA, a payload length outside 1..pageSize, checked in that
-// order — with the shared sentinels, and records each op's codeword
-// size in sizes[i]: -1 for a reject, 0 for an accounting-only op.
+// resets each op's fate, rejects malformed ops — an unknown stream, an
+// LPA outside 0..MaxLPA, a payload length outside 1..pageSize, checked
+// in that order — with the shared sentinels, and records each op's
+// codeword size in sizes[i]: -1 for a reject, 0 for an accounting-only
+// op.
 func ValidateBatch(ops []BatchOp, fates []BatchFate, streams []StreamPolicy, pageSize int, sizes []int) {
 	for i := range ops {
 		op := &ops[i]
@@ -60,7 +64,7 @@ func ValidateBatch(ops []BatchOp, fates []BatchFate, streams []StreamPolicy, pag
 		switch {
 		case op.Stream < 0 || int(op.Stream) >= len(streams):
 			fates[i].Err = ErrUnknownStream
-		case op.LPA < 0:
+		case op.LPA < 0 || op.LPA > MaxLPA:
 			fates[i].Err = ErrBadLPA
 		case n <= 0 || n > pageSize:
 			fates[i].Err = ErrPayloadSize
@@ -73,16 +77,42 @@ func ValidateBatch(ops []BatchOp, fates []BatchFate, streams []StreamPolicy, pag
 }
 
 // ValidTag reports whether an OOB tag read back by a rebuild is one a
-// write could have left: a known stream, a non-negative LPA and a
+// write could have left: a known stream, an LPA in 0..MaxLPA and a
 // payload length in 1..pageSize (what ValidateBatch admits), and a
-// nonzero serial (write serials start at 1; a rebuild's election uses 0
-// for "no candidate yet"). A rebuild treats any other tag like a
-// missing one — its page is garbage — since installing it would map an
-// LPA the read path cannot serve. Only a corrupt image holds such tags:
-// a torn cut persists a whole, valid tag.
+// nonzero serial (write serials start at 1). A rebuild treats any other
+// tag like a missing one — its page is garbage — since installing it
+// would map an LPA the read path cannot serve. Only a corrupt image
+// holds such tags: a torn cut persists a whole, valid tag.
 func ValidTag(tag flash.PageTag, streams []StreamPolicy, pageSize int) bool {
-	return int(tag.Stream) < len(streams) && tag.LPA >= 0 &&
+	return int(tag.Stream) < len(streams) && tag.LPA >= 0 && tag.LPA <= MaxLPA &&
 		tag.DataLen >= 1 && int(tag.DataLen) <= pageSize && tag.Serial != 0
+}
+
+// Candidate is one page a rebuild's election considers: the LPA and
+// serial of a tag ValidTag admitted, and Index, the candidate's place
+// in the rebuild's scan order.
+type Candidate struct {
+	LPA    int64
+	Serial uint64
+	Index  int32
+}
+
+// Elect orders a rebuild's candidates for installation, with no table
+// indexed by LPA, so its memory follows the medium rather than the LPAs
+// tags name: ascending LPA, then descending serial, then scan order.
+// The first candidate of each LPA wins — the newest copy, and of equal
+// serials the first one scanned — so winners come in ascending LPA
+// order, and every later candidate of the same LPA lost.
+func Elect(cands []Candidate) {
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if a.LPA != b.LPA {
+			return cmp.Compare(a.LPA, b.LPA)
+		}
+		if a.Serial != b.Serial {
+			return cmp.Compare(b.Serial, a.Serial)
+		}
+		return cmp.Compare(a.Index, b.Index)
+	})
 }
 
 // BatchFate is the per-op outcome of a batch, in submission order.

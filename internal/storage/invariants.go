@@ -7,34 +7,33 @@ import "fmt"
 // first and then checks its own state. It is read-only and assumes a
 // quiescent backend:
 //
+//   - the L2P table's own accounting holds: every pool entry is either
+//     referenced by exactly one LPA or free, each leaf's live count
+//     matches its slots, and no empty leaf stays in the directory;
 //   - L2P and P2L are exact inverses, back-pointers included;
 //   - every mapping names a known stream;
-//   - the mapped count and every unit's live count agree with the
-//     tables, and a unit out of use holds no live page;
+//   - every unit's live count agrees with the tables, and a unit out of
+//     use holds no live page;
 //   - no unit has more stale pages than programmed pages;
 //   - every active slot holds an in-use, uncondemned unit whose Owner
 //     and Bin name that slot.
 func (r *Reclaimer) CheckMapping() error {
-	live := 0
+	if err := r.l2p.check(r.name); err != nil {
+		return err
+	}
 	perUnit := make([]int, len(r.Units))
-	for lpa, m := range r.L2P {
-		if m.DataLen == 0 {
-			continue
-		}
-		live++
+	for lpa := r.l2p.next(0); lpa >= 0; lpa = r.l2p.next(lpa + 1) {
+		m := r.l2p.get(lpa)
 		if m.Unit < 0 || m.Unit >= len(r.Units) || m.Index < 0 || m.Index >= r.stride {
 			return fmt.Errorf("%s: lpa %d -> unit %d idx %d outside the physical address space", r.name, lpa, m.Unit, m.Index)
 		}
 		if m.Stream < 0 || int(m.Stream) >= len(r.streams) {
 			return fmt.Errorf("%s: lpa %d on unknown stream %d", r.name, lpa, m.Stream)
 		}
-		if back := r.P2L[r.PageIndex(m.Unit, m.Index)]; back != int64(lpa) {
+		if back := r.P2L[r.PageIndex(m.Unit, m.Index)]; back != lpa {
 			return fmt.Errorf("%s: lpa %d -> unit %d idx %d -> lpa %d", r.name, lpa, m.Unit, m.Index, back)
 		}
 		perUnit[m.Unit]++
-	}
-	if live != r.mapped {
-		return fmt.Errorf("%s: mapped count %d but %d live l2p entries", r.name, r.mapped, live)
 	}
 	// Every live L2P entry owns the P2L entry it points at, so a P2L
 	// entry that points back at its own mapping is one of those.
@@ -42,7 +41,7 @@ func (r *Reclaimer) CheckMapping() error {
 		if lpa < 0 {
 			continue
 		}
-		if lpa >= int64(len(r.L2P)) || r.L2P[lpa].DataLen == 0 || r.PageIndex(r.L2P[lpa].Unit, r.L2P[lpa].Index) != idx {
+		if m := r.l2p.get(lpa); m == nil || r.PageIndex(m.Unit, m.Index) != idx {
 			return fmt.Errorf("%s: p2l entry unit %d idx %d -> lpa %d has no matching l2p entry", r.name, idx/r.stride, idx%r.stride, lpa)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // The reclaim policy both backends run (§4.3): greedy, unlevelled GC
 // for SPARE, cost-benefit GC for SYS, scrub-driven refresh, and
 // dead-data-aware parking. It is written once, over erase units — an
-// ftl block, a zns zone — and the dense mapping tables that index them.
+// ftl block, a zns zone — and the mapping tables that index them.
 // A backend keeps each unit's state current in Units and answers the
 // few questions that differ between a block and a zone through
 // UnitOps, one call per pass, victim, candidate or moved page; the
@@ -33,7 +33,7 @@ type Mapping struct {
 	Unit, Index int
 	Stream      StreamID
 	// DataLen is the logical payload length; a live entry has
-	// DataLen >= 1, so the zero Mapping marks an unmapped LPA.
+	// DataLen >= 1, so the zero Mapping marks a free L2P pool entry.
 	DataLen int
 	// BaseFlips carries degradation crystallized across relocations of
 	// accounting-only pages (payload pages carry it in their bytes).
@@ -108,7 +108,7 @@ type ReclaimConfig struct {
 }
 
 // Reclaimer is the reclaim policy and the state it runs over: the erase
-// units, the active-unit slots, the dense mapping tables, the shared
+// units, the active-unit slots, the mapping tables, the shared
 // telemetry counters and the capacity-callback latch. It also resolves
 // reads and checks the mapping tables. Both backends embed one, so its
 // methods serve their storage.Backend surface.
@@ -119,10 +119,11 @@ type Reclaimer struct {
 	// slot (see ActiveSlot); -1 means none. Only Activate and Deactivate
 	// write it, so an active unit's Owner and Bin always name its slot.
 	Active []int
-	// L2P is indexed directly by LPA and grows on demand; P2L is indexed
-	// by unit*stride+index, -1 meaning no live page.
-	L2P []Mapping
+	// P2L is indexed by unit*stride+index, -1 meaning no live page. The
+	// L2P side is private (l2p.go): backends reach it through Lookup,
+	// SetMapping and ClearMapping.
 	P2L []int64
+	l2p l2pTable
 
 	// Telemetry in the Stats vocabulary; Hinted counts host writes that
 	// carried a lifetime hint.
@@ -146,7 +147,6 @@ type Reclaimer struct {
 	blocksPerUnit int
 	lowWater      int
 	reserve       int
-	mapped        int
 
 	deadSkipDefers int64
 	deadSkipPages  int64
@@ -226,40 +226,23 @@ func (r *Reclaimer) Deactivate(u int) {
 
 // Lookup returns the live mapping for lpa, if any.
 func (r *Reclaimer) Lookup(lpa int64) (Mapping, bool) {
-	if lpa < 0 || lpa >= int64(len(r.L2P)) || r.L2P[lpa].DataLen == 0 {
-		return Mapping{}, false
+	if m := r.l2p.get(lpa); m != nil {
+		return *m, true
 	}
-	return r.L2P[lpa], true
+	return Mapping{}, false
 }
 
-// SetMapping points lpa at m (m.DataLen >= 1) in both tables, growing
-// L2P with amortized doubling. Retiring the old location and counting
-// the unit's live pages are the backend's business.
+// SetMapping points lpa (0..MaxLPA) at m (m.DataLen >= 1) in both
+// tables. Retiring the old location and counting the unit's live pages
+// are the backend's business.
 func (r *Reclaimer) SetMapping(lpa int64, m Mapping) {
-	if lpa >= int64(len(r.L2P)) {
-		n := 2 * int64(len(r.L2P))
-		if n < lpa+1 {
-			n = lpa + 1
-		}
-		grown := make([]Mapping, n)
-		copy(grown, r.L2P)
-		r.L2P = grown
-	}
-	if r.L2P[lpa].DataLen == 0 {
-		r.mapped++
-	}
-	r.L2P[lpa] = m
+	r.l2p.set(lpa, m)
 	r.P2L[r.PageIndex(m.Unit, m.Index)] = lpa
 }
 
 // ClearMapping drops lpa's L2P entry; its P2L entry is cleared with the
 // old location.
-func (r *Reclaimer) ClearMapping(lpa int64) {
-	if lpa >= 0 && lpa < int64(len(r.L2P)) && r.L2P[lpa].DataLen != 0 {
-		r.L2P[lpa] = Mapping{}
-		r.mapped--
-	}
-}
+func (r *Reclaimer) ClearMapping(lpa int64) { r.l2p.clear(lpa) }
 
 // PageIndex returns the P2L index of page idx of unit u.
 func (r *Reclaimer) PageIndex(u, idx int) int { return u*r.stride + idx }
@@ -292,7 +275,7 @@ func (r *Reclaimer) Digest(lpa int64) (uint64, bool) {
 }
 
 // MappedPages returns the number of live logical pages.
-func (r *Reclaimer) MappedPages() int { return r.mapped }
+func (r *Reclaimer) MappedPages() int { return r.l2p.mapped }
 
 // Stats returns the shared telemetry; the backend fills in the
 // unit-pool fields (Retired, Resuscitated, StaticWLMoves, FreeBlocks).
@@ -307,7 +290,7 @@ func (r *Reclaimer) Stats() Stats {
 		RelocRetries:  r.RelocRetries,
 		SalvagedPages: r.SalvagedPages,
 		SalvagedBytes: r.SalvagedBytes,
-		MappedPages:   r.mapped,
+		MappedPages:   r.l2p.mapped,
 	}
 }
 
@@ -474,7 +457,7 @@ func (r *Reclaimer) deferVictim(u int) bool {
 	hot := 0
 	base := r.PageIndex(u, 0)
 	for idx := 0; idx < un.Programmed; idx++ {
-		if lpa := r.P2L[base+idx]; lpa >= 0 && r.L2P[lpa].Hint == HintHot {
+		if lpa := r.P2L[base+idx]; lpa >= 0 && r.l2p.get(lpa).Hint == HintHot {
 			hot++
 		}
 	}
@@ -508,7 +491,7 @@ func (r *Reclaimer) Reclaim(u int) error {
 		if err != nil {
 			return err
 		}
-		m := &r.L2P[lpa]
+		m := r.l2p.get(lpa)
 		rl.Add(lpa, ppa, r.streams[m.Stream].Scheme, m.DataLen)
 	}
 	if rl.Len() == 0 {
@@ -518,7 +501,7 @@ func (r *Reclaimer) Reclaim(u int) error {
 	var err error
 	for k := 0; k < rl.Len() && err == nil; k++ {
 		lpa, op := rl.Page(k)
-		err = r.relocateFrom(lpa, r.L2P[lpa].Stream, op)
+		err = r.relocateFrom(lpa, r.l2p.get(lpa).Stream, op)
 	}
 	rl.Release(r.chip)
 	if err != nil {
@@ -610,11 +593,8 @@ func (r *Reclaimer) Scrub(maxMoves int) (ScrubReport, error) {
 	// Cleared on entry rather than exit: an error return mid-pass must
 	// not leak dirty bits into the next pass.
 	clear(r.dirty)
-	for lpa := int64(0); lpa < int64(len(r.L2P)); lpa++ {
-		m, ok := r.Lookup(lpa)
-		if !ok {
-			continue
-		}
+	for lpa := r.l2p.next(0); lpa >= 0; lpa = r.l2p.next(lpa + 1) {
+		m := *r.l2p.get(lpa)
 		rep.PagesChecked++
 		ppa, err := r.ops.PageAddr(m.Unit, m.Index)
 		if err != nil {

@@ -29,11 +29,10 @@ var (
 	ErrUnknownLPA    = errors.New("storage: logical page not mapped")
 	ErrUnknownStream = errors.New("storage: unknown stream")
 	ErrPayloadSize   = errors.New("storage: payload exceeds logical page size")
-	// ErrBadLPA rejects a write to a negative logical page address. The
-	// logical address space is dense and non-negative (the fs allocates
-	// LBAs sequentially from zero); backends index their mapping tables
-	// by LPA directly.
-	ErrBadLPA = errors.New("storage: negative logical page address")
+	// ErrBadLPA rejects a write to a logical page address outside
+	// 0..MaxLPA, the range the L2P directory can index (the fs allocates
+	// LBAs sequentially from zero).
+	ErrBadLPA = fmt.Errorf("storage: logical page address outside 0..%d", MaxLPA)
 )
 
 // Flash is the chip contract a backend programs against. *flash.Chip

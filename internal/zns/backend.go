@@ -22,9 +22,11 @@ import (
 // Its storage.Reclaimer holds one Unit per zone — owner, lifetime bin,
 // live and stale pages, the write pointer as Programmed, open-or-full as
 // InUse, and Condemned for a quarantined zone, which drains with
-// priority and is forced offline at reset — and the dense mapping
-// tables: L2P indexed directly by LPA, P2L by zone*zcap+idx, where zcap
-// is the zone page stride at native density.
+// priority and is forced offline at reset — and the mapping tables:
+// P2L indexed by zone*zcap+idx, where zcap is the zone page stride at
+// native density, and the private, paged L2P (a pool entry per live
+// page, LPAs up to storage.MaxLPA) the backend reaches through Lookup,
+// SetMapping and ClearMapping.
 type Backend struct {
 	storage.Reclaimer
 

@@ -34,16 +34,20 @@ func CheckInvariants(b *Backend) error {
 		return err
 	}
 	d := b.dev
-	for lpa, m := range b.L2P {
-		if m.DataLen == 0 {
+	// CheckMapping proved P2L the exact inverse of L2P, so this walk
+	// visits every live mapping once, at the zone and index it names.
+	stride := len(b.P2L) / len(d.zones)
+	for p, lpa := range b.P2L {
+		if lpa < 0 {
 			continue
 		}
-		zn := &d.zones[m.Unit]
-		if m.Index >= zn.wp {
-			return fmt.Errorf("zns: lpa %d at zone %d idx %d beyond wp %d", lpa, m.Unit, m.Index, zn.wp)
+		z, idx := p/stride, p%stride
+		zn := &d.zones[z]
+		if idx >= zn.wp {
+			return fmt.Errorf("zns: lpa %d at zone %d idx %d beyond wp %d", lpa, z, idx, zn.wp)
 		}
-		if m.DataLen != zn.lens[m.Index] {
-			return fmt.Errorf("zns: lpa %d length %d disagrees with zone record %d", lpa, m.DataLen, zn.lens[m.Index])
+		if m, _ := b.Lookup(lpa); m.DataLen != zn.lens[idx] {
+			return fmt.Errorf("zns: lpa %d length %d disagrees with zone record %d", lpa, m.DataLen, zn.lens[idx])
 		}
 	}
 	for z := range d.zones {

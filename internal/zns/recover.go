@@ -23,9 +23,9 @@ func (b *Backend) Recover() (storage.Backend, error) {
 	return nb, nil
 }
 
-// rcand is a rebuild mapping candidate.
+// rcand is a rebuild mapping candidate; its LPA and serial are in its
+// election key (storage.Candidate).
 type rcand struct {
-	serial    uint64
 	zone, idx int
 	stream    storage.StreamID
 	dataLen   int
@@ -39,10 +39,10 @@ type rcand struct {
 func (nb *Backend) rebuild() error {
 	d := nb.dev
 	geo := nb.chip.Geometry()
-	// winners is a dense election table indexed by LPA, grown like l2p;
-	// serial == 0 marks an empty slot (acked appends always carry
-	// serial >= 1, since the write serial pre-increments from zero).
-	var winners []rcand
+	// cands holds every valid tagged page in scan order, elect their
+	// election keys (storage.Elect).
+	var cands []rcand
+	var elect []storage.Candidate
 	zmax := make([]uint64, len(d.zones)) // newest serial seen per zone
 	var maxSerial uint64
 
@@ -132,27 +132,17 @@ func (nb *Backend) rebuild() error {
 				if tag.Serial > maxSerial {
 					maxSerial = tag.Serial
 				}
-				if tag.LPA >= int64(len(winners)) {
-					n := 2 * int64(len(winners))
-					if n < tag.LPA+1 {
-						n = tag.LPA + 1
-					}
-					grown := make([]rcand, n)
-					copy(grown, winners)
-					winners = grown
-				}
 				hint := storage.LifetimeHint(tag.Hint)
 				if int(tag.Hint) >= storage.NumLifetimeHints {
 					hint = storage.HintNone
 				}
-				if w := winners[tag.LPA]; w.serial == 0 || tag.Serial > w.serial {
-					winners[tag.LPA] = rcand{
-						serial: tag.Serial, zone: z, idx: idx,
-						stream: storage.StreamID(tag.Stream), dataLen: dataLen,
-						digest: tag.Digest, hasDigest: tag.HasDigest,
-						hint: hint,
-					}
-				}
+				elect = append(elect, storage.Candidate{LPA: tag.LPA, Serial: tag.Serial, Index: int32(len(cands))})
+				cands = append(cands, rcand{
+					zone: z, idx: idx,
+					stream: storage.StreamID(tag.Stream), dataLen: dataLen,
+					digest: tag.Digest, hasDigest: tag.HasDigest,
+					hint: hint,
+				})
 			}
 			// Untagged written pages are torn garbage, and so are pages
 			// whose tag no write could have left; they occupy
@@ -175,12 +165,14 @@ func (nb *Backend) rebuild() error {
 		}
 	}
 
-	for lpa := int64(0); lpa < int64(len(winners)); lpa++ {
-		w := winners[lpa]
-		if w.serial == 0 {
+	// Elect the newest copy per LPA and install the winners in LPA order.
+	storage.Elect(elect)
+	for i, k := range elect {
+		if i > 0 && elect[i-1].LPA == k.LPA {
 			continue
 		}
-		nb.install(lpa, storage.Mapping{Unit: w.zone, Index: w.idx, Stream: w.stream, DataLen: w.dataLen, Digest: w.digest, HasDigest: w.hasDigest, Hint: w.hint})
+		w := &cands[k.Index]
+		nb.install(k.LPA, storage.Mapping{Unit: w.zone, Index: w.idx, Stream: w.stream, DataLen: w.dataLen, Digest: w.digest, HasDigest: w.hasDigest, Hint: w.hint})
 	}
 	nb.writeSerial = maxSerial
 	// Every written page that lost its election (or was torn) is stale.
