@@ -1,9 +1,11 @@
 # Verification tiers. Tier 1 is the seed gate (ROADMAP.md); tier 2 keeps
 # the concurrent paths honest now that experiments fan out across worker
 # goroutines; the torture tier replays the crash matrix under the race
-# detector. CI (or a pre-merge hand-run) should execute all three.
+# detector. CI (or a pre-merge hand-run) should execute all three, plus
+# `make cross`, which vets the module for an architecture without the
+# amd64 assembly.
 
-.PHONY: verify verify-race verify-all torture fuzz-smoke bench-parallel bench-smoke bench-json bench-gate determinism fmt obs audit serve-smoke placement
+.PHONY: verify verify-race verify-all cross torture fuzz-smoke bench-parallel bench-smoke bench-json bench-gate determinism fmt obs audit serve-smoke placement
 
 # Formatting gate: fail if any file needs gofmt.
 fmt:
@@ -24,6 +26,13 @@ verify: fmt
 verify-race:
 	go vet ./... && go test -race -timeout 20m ./...
 
+# Cross-architecture check: vet the whole module for arm64, which has no
+# assembly, so the portable Reed-Solomon kernel that every CPU without
+# the amd64 AVX2 path runs keeps compiling. Offline: the standard
+# library cross-compiles from the toolchain's own source.
+cross:
+	GOARCH=arm64 go vet ./...
+
 # Crash-and-recovery torture: the power-cut matrix, crash-mid-GC and
 # crash-mid-resuscitation rebuilds, and fault-injection tests, under the
 # race detector at two parallelism levels (reports must be identical).
@@ -36,26 +45,29 @@ torture:
 	go test -race -parallel 8 ./internal/torture/
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target —
-# Reed-Solomon decode, the Hamming scheme, the backend reference model,
+# Reed-Solomon decode, whole-page Reed-Solomon scheme decode (the
+# four-shard kernel against a per-shard reference), the Hamming scheme, the backend reference model,
 # backend recovery over fuzzed OOB tags, the Prometheus exposition
 # validator, then the profile, backend and placement name parsers —
 # beyond the seed corpora (which plain go test replays).
 # go test takes one -fuzz target per call. A backend-model input is
 # slow to run (two backends, every LPA checked after every op), an
 # exposition input starts from a 3 KB scrape golden, and minimizing a
-# new Hamming input stalls the run, so minimizing would otherwise take
+# new Hamming input stalls the run, a scheme-page input encodes and
+# decodes a page of up to 4 KiB twice, so minimizing would otherwise take
 # the rest of the ten seconds; -fuzzminimizetime 1s caps that and
 # leaves the budget to fuzzing. It changes how the time is spent, not
 # what is checked.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRSDecodeInPlace$$' -fuzztime 10s ./internal/ecc
+	go test -run '^$$' -fuzz '^FuzzRSSchemePage$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
 	go test -run '^$$' -fuzz '^FuzzHammingScheme$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ecc
 	go test -run '^$$' -fuzz '^FuzzBackendModel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/device
 	go test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/device
 	go test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
 	go test -run '^$$' -fuzz '^FuzzParseNames$$' -fuzztime 10s -fuzzminimizetime 1s .
 
-verify-all: verify verify-race torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement
+verify-all: verify verify-race cross torture fuzz-smoke bench-smoke bench-gate audit serve-smoke placement
 
 # Serial vs parallel RunAll wall-clock (quick fidelity under -short).
 bench-parallel:
@@ -71,7 +83,7 @@ bench-smoke:
 # allocs/op). Redirect to refresh the committed baseline:
 #
 #	make bench-json > BENCH_PR10.json
-BENCH_REGEX := BenchmarkRSEncode4K|BenchmarkRSEncodeDense4K|BenchmarkRSDecode|BenchmarkHammingEncode4K|BenchmarkFlashProgramRead|BenchmarkFTLWrite|BenchmarkFTLRead|BenchmarkFTLRebuild|BenchmarkDeviceWrite|BenchmarkDeviceRead|BenchmarkDeviceReadSerial|BenchmarkGCRelocateBatch|BenchmarkAuditPass|BenchmarkZNSAppend|BenchmarkRecorder
+BENCH_REGEX := BenchmarkRSEncode4K|BenchmarkRSEncodeDense4K|BenchmarkRSEncodeIntoDense4K|BenchmarkRSDecode|BenchmarkHammingEncode4K|BenchmarkFlashProgramRead|BenchmarkFTLWrite|BenchmarkFTLRead|BenchmarkFTLRebuild|BenchmarkDeviceWrite|BenchmarkDeviceRead|BenchmarkDeviceReadSerial|BenchmarkGCRelocateBatch|BenchmarkAuditPass|BenchmarkZNSAppend|BenchmarkRecorder
 
 bench-json:
 	@go build -o /tmp/benchjson ./cmd/benchjson

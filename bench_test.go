@@ -338,6 +338,40 @@ func BenchmarkRSDecodeDense4K(b *testing.B) {
 	}
 }
 
+// BenchmarkRSDecodeInPlaceDense4K times the read path's entry point on a
+// clean dense page: DecodeInPlace into one reused buffer, refilled each
+// iteration because decoding compacts the data parts in place.
+func BenchmarkRSDecodeInPlaceDense4K(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	clean, _ := s.Encode(densePage4K())
+	cw := make([]byte, len(clean))
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(cw, clean)
+		if _, _, err := s.DecodeInPlace(cw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRSEncodeIntoDense4K times the write path's entry point on a
+// dense page: EncodeInto a reused buffer.
+func BenchmarkRSEncodeIntoDense4K(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	data := densePage4K()
+	dst := make([]byte, s.Overhead(len(data)))
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.EncodeInto(dst, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHammingEncode4K(b *testing.B) {
 	data := make([]byte, 4096)
 	b.SetBytes(4096)

@@ -160,29 +160,89 @@ func (r *RS) remainder(data []byte) (rem [maxParity]byte) {
 	return rem
 }
 
+// remainder4 sets rems[k] to the remainder of the n-byte span
+// data[k*stride:][:n], for k < 4, in one pass: the spans are independent
+// register chains, and one chain alone is latency-bound. With AVX2 the
+// pass runs in remainder4AVX2, each span's register in a YMM register
+// and the four chains interleaved. Otherwise each span takes remainder.
+//
+// A zero register stays zero through zero bytes, so zero bytes put in
+// front of a span leave its remainder unchanged: padded with 8 − n mod 8
+// of them, a span is whole 8-byte words, the first holding its first
+// n mod 8 bytes (heads). Then the leading words that are zero in all
+// four spans are skipped, when the heads are zero too.
+func (r *RS) remainder4(rems *[4][maxParity]byte, data []byte, n, stride int) {
+	// The assembly checks no bounds: prove every span in range first.
+	if n < 0 || stride < 0 || stride > len(data) || 3*stride+n > len(data) {
+		panic("ecc: remainder4 spans out of range")
+	}
+	if !useAVX2 {
+		for k := range rems {
+			rems[k] = r.remainder(data[k*stride : k*stride+n])
+		}
+		return
+	}
+	head := n % 8
+	var heads [4][8]byte
+	for k := range heads {
+		copy(heads[k][8-head:], data[k*stride:k*stride+head])
+	}
+	start := head
+	if heads == ([4][8]byte{}) {
+		// Each span is scanned only as far as the spans before it were
+		// zero.
+		end := n
+		for k := 0; k < 4; k++ {
+			span := data[k*stride+start : k*stride+end]
+			for len(span) >= 8 && binary.LittleEndian.Uint64(span) == 0 {
+				span = span[8:]
+			}
+			end -= len(span)
+		}
+		if end == n {
+			*rems = [4][maxParity]byte{}
+			return
+		}
+		start = end
+	}
+	var p *byte
+	words := (n - start) / 8
+	if words > 0 {
+		p = &data[start]
+	}
+	remainder4AVX2(r.tab, &heads, p, stride, words, rems)
+}
+
 // syndromes computes the nparity syndromes of the codeword; all-zero
 // syndromes mean no detectable error.
 func (r *RS) syndromes(cw []byte) ([]byte, bool) {
 	syn := make([]byte, r.nparity)
-	return syn, r.syndromesInto(syn, cw)
+	data := len(cw) - r.nparity
+	rem := r.remainder(cw[:data])
+	return syn, r.syndromesFromRem(syn, &rem, cw[data:])
 }
 
-// syndromesInto computes the syndromes into caller-owned scratch (len
-// exactly nparity) and reports whether they are all zero. It allocates
-// nothing — the batched read path calls it with stack scratch so a
-// clean codeword syndrome-checks for free.
-func (r *RS) syndromesInto(syn, cw []byte) bool {
-	// cw mod gen is the data's re-encoded parity XOR the stored parity,
-	// and S_i = (cw mod gen)(α^i) since every α^i is a root of gen. A
-	// zero remainder is a clean codeword; otherwise Horner's rule over
-	// the nparity remainder bytes gives the syndromes.
+// syndromesFromRem finishes a syndrome check from rem, the remainder of
+// a codeword's data part, and its stored parity bytes. The codeword mod
+// gen is the data's re-encoded parity XOR the stored parity, and S_i =
+// (cw mod gen)(α^i) since every α^i is a root of gen. A zero remainder
+// is a clean codeword; otherwise Horner's rule over the nparity
+// remainder bytes gives the syndromes. It reports whether the codeword
+// is clean, and clobbers rem.
+func (r *RS) syndromesFromRem(syn []byte, rem *[maxParity]byte, parity []byte) bool {
 	np := r.nparity
-	data := len(cw) - np
-	rem := r.remainder(cw[:data])
-	dirty := byte(0)
-	for j, p := range cw[data:] {
-		rem[j] ^= p
-		dirty |= rem[j]
+	parity = parity[:np]
+	// XOR a word at a time, then the last np mod 8 bytes.
+	var dirty uint64
+	j := 0
+	for ; j+8 <= np; j += 8 {
+		v := binary.LittleEndian.Uint64(rem[j:]) ^ binary.LittleEndian.Uint64(parity[j:])
+		binary.LittleEndian.PutUint64(rem[j:], v)
+		dirty |= v
+	}
+	for ; j < np; j++ {
+		rem[j] ^= parity[j]
+		dirty |= uint64(rem[j])
 	}
 	if dirty == 0 {
 		for i := range syn {
@@ -212,9 +272,16 @@ func (r *RS) DecodeInPlace(cw []byte) (data []byte, corrected int, err error) {
 	if len(cw) <= r.nparity || len(cw) > 255 {
 		return nil, 0, fmt.Errorf("ecc: codeword length %d out of range", len(cw))
 	}
+	rem := r.remainder(cw[:len(cw)-r.nparity])
+	return r.decodeFromRem(cw, &rem)
+}
+
+// decodeFromRem is DecodeInPlace for a codeword whose length the caller
+// checked and whose data part's remainder it already computed.
+func (r *RS) decodeFromRem(cw []byte, rem *[maxParity]byte) (data []byte, corrected int, err error) {
 	var scratch [maxParity]byte
 	syn := scratch[:r.nparity]
-	if r.syndromesInto(syn, cw) {
+	if r.syndromesFromRem(syn, rem, cw[len(cw)-r.nparity:]) {
 		return cw[:len(cw)-r.nparity], 0, nil
 	}
 	return r.correct(cw, syn)

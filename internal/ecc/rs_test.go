@@ -242,7 +242,7 @@ func everyParity(t *testing.T, f func(np int, rs *RS)) {
 }
 
 func TestSyndromesMatchReference(t *testing.T) {
-	// syndromesInto must agree with the direct polynomial evaluation
+	// syndromes must agree with the direct polynomial evaluation
 	// S_i = cw(α^i) at every density (47..49 nonzero bytes straddle
 	// the bound of a deleted sparse path), on shortened codewords, and
 	// on valid codewords with and without corruption (the kernel's
@@ -250,7 +250,6 @@ func TestSyndromesMatchReference(t *testing.T) {
 	rng := sim.NewRNG(11)
 	everyParity(t, func(np int, rs *RS) {
 		ref := make([]byte, np)
-		got := make([]byte, np)
 		check := func(what string, cw []byte) {
 			t.Helper()
 			wantClean := true
@@ -260,7 +259,7 @@ func TestSyndromesMatchReference(t *testing.T) {
 					wantClean = false
 				}
 			}
-			clean := rs.syndromesInto(got, cw)
+			got, clean := rs.syndromes(cw)
 			if clean != wantClean {
 				t.Errorf("np=%d len=%d %s: clean=%v, want %v", np, len(cw), what, clean, wantClean)
 			}

@@ -279,8 +279,8 @@ func (s *RSScheme) Encode(data []byte) ([]byte, error) {
 }
 
 // EncodeInto implements Scheme: the allocation-free core of Encode.
-// Shard lengths are in (0, dataShard] and dataShard <= MaxData, so
-// encodeInto's precondition always holds.
+// Four full shards at a time share one remainder4 pass; the last 0–3
+// shards take remainder one at a time.
 func (s *RSScheme) EncodeInto(dst, data []byte) (int, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("ecc: empty payload")
@@ -289,15 +289,23 @@ func (s *RSScheme) EncodeInto(dst, data []byte) (int, error) {
 	if len(dst) < need {
 		return 0, fmt.Errorf("ecc: dst too short (%d < %d)", len(dst), need)
 	}
+	np := s.rs.ParityBytes()
+	var rems [4][maxParity]byte
 	pos := 0
-	for off := 0; off < len(data); off += s.dataShard {
-		end := off + s.dataShard
-		if end > len(data) {
-			end = len(data)
+	for off := 0; off < len(data); {
+		shards := 1
+		if len(data)-off >= 4*s.dataShard {
+			s.rs.remainder4(&rems, data[off:], s.dataShard, s.dataShard)
+			shards = 4
+		} else {
+			rems[0] = s.rs.remainder(data[off:min(off+s.dataShard, len(data))])
 		}
-		n := end - off + s.rs.ParityBytes()
-		s.rs.encodeInto(dst[pos:pos+n], data[off:end])
-		pos += n
+		for k := 0; k < shards; k++ {
+			end := min(off+s.dataShard, len(data))
+			pos += copy(dst[pos:], data[off:end])
+			pos += copy(dst[pos:], rems[k][:np])
+			off = end
+		}
 	}
 	return need, nil
 }
@@ -331,37 +339,46 @@ func (s *RSScheme) Decode(stored []byte) ([]byte, int, error) {
 // DecodeInPlace implements IntoDecoder: shard-by-shard in-place decode
 // with stack-scratch syndrome checks, compacting the data parts
 // leftward within stored so the result is one contiguous alias of
-// stored[:dataLen]. Clean pages — the overwhelming steady state —
-// allocate nothing; shards that need correction fall back to the
-// allocating BM/Chien/Forney machinery (the error path), which corrects
-// in place before compaction. Like Decode, every shard is processed
-// even after a failure so the caller gets maximally repaired data.
+// stored[:dataLen]. Four full shards at a time share one remainder4
+// pass over their data parts; the last 0–3 shards take remainder one
+// at a time. Clean pages — the overwhelming steady state — allocate
+// nothing; shards that need correction fall back to the allocating
+// BM/Chien/Forney machinery (the error path), which corrects in place
+// before compaction. Like Decode, every shard is processed even after a
+// failure so the caller gets maximally repaired data.
 func (s *RSScheme) DecodeInPlace(stored []byte) (data []byte, corrected int, err error) {
-	full := s.dataShard + s.rs.ParityBytes()
+	np := s.rs.ParityBytes()
+	full := s.dataShard + np
+	var rems [4][maxParity]byte
 	pos := 0
 	var firstErr error
-	for off := 0; off < len(stored); off += full {
-		end := off + full
-		if end > len(stored) {
-			end = len(stored)
+	for off := 0; off < len(stored); {
+		shards := 1
+		if len(stored)-off >= 4*full {
+			// Compaction writes below each shard's own data part, so the
+			// later three shards are intact when their turn comes.
+			s.rs.remainder4(&rems, stored[off:], s.dataShard, full)
+			shards = 4
+		} else {
+			end := min(off+full, len(stored))
+			if end-off <= np {
+				return nil, corrected, fmt.Errorf("ecc: truncated RS shard (%d bytes)", end-off)
+			}
+			rems[0] = s.rs.remainder(stored[off : end-np])
 		}
-		shard := stored[off:end]
-		if len(shard) <= s.rs.ParityBytes() {
-			return nil, corrected, fmt.Errorf("ecc: truncated RS shard (%d bytes)", len(shard))
+		for k := 0; k < shards; k++ {
+			end := min(off+full, len(stored))
+			d, c, derr := s.rs.decodeFromRem(stored[off:end], &rems[k])
+			if derr != nil && firstErr == nil {
+				firstErr = derr
+			}
+			corrected += c
+			// Compact this shard's data part leftward; the destination
+			// never overtakes the source (pos <= off), so the overlapping
+			// copy is safe.
+			pos += copy(stored[pos:pos+len(d)], d)
+			off = end
 		}
-		d, c, derr := s.rs.DecodeInPlace(shard)
-		if derr != nil && firstErr == nil {
-			firstErr = derr
-		}
-		corrected += c
-		if derr != nil && d == nil {
-			// Malformed shard geometry: nothing usable came back.
-			return nil, corrected, derr
-		}
-		// Compact this shard's data part leftward; the destination never
-		// overtakes the source (pos <= off), so the overlapping copy is
-		// safe.
-		pos += copy(stored[pos:pos+len(d)], d)
 	}
 	return stored[:pos], corrected, firstErr
 }

@@ -64,6 +64,14 @@ const defaultMaxShards = 1 << 20
 // default shard cap; a larger body is answered 413.
 const maxBodyBytes = 16 * defaultMaxShards
 
+// maxTrainingFiles bounds a create body's training_files: NewFleet
+// generates that many corpus files and trains the fleet's classifier
+// on them (300 epochs) inside the request, so the field sizes the
+// handler's memory and CPU. NewFleet with 100,000 files takes about
+// 1.5 s on a 2-vCPU Xeon guest; no fleet caller sets the field (the
+// default is 1500) and System callers use at most 8,000.
+const maxTrainingFiles = 100_000
+
 // Server hosts fleets over HTTP. Create with New, mount via Handler.
 type Server struct {
 	cfg  Config
@@ -183,6 +191,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if cfg.Shards > s.cfg.MaxShards {
 		httpError(w, http.StatusBadRequest, "shards %d exceeds daemon cap %d", cfg.Shards, s.cfg.MaxShards)
+		return
+	}
+	if cfg.TrainingFiles > maxTrainingFiles {
+		httpError(w, http.StatusBadRequest, "training_files %d exceeds daemon cap %d", cfg.TrainingFiles, maxTrainingFiles)
+		return
+	}
+	// Building a fleet trains its classifier, so a create at the fleet
+	// cap is refused before that work; the check repeats under the lock
+	// at insert, since concurrent creates may fill the cap meanwhile.
+	s.mu.Lock()
+	full := len(s.fleets) >= s.cfg.MaxFleets
+	s.mu.Unlock()
+	if full {
+		httpError(w, http.StatusTooManyRequests, "fleet cap %d reached", s.cfg.MaxFleets)
 		return
 	}
 	// The daemon owns parallelism and backpressure: one flag governs

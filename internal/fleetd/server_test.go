@@ -282,6 +282,42 @@ func TestFleetCap(t *testing.T) {
 	}
 }
 
+// TestCreateBoundsTrainingFiles: training_files sizes the corpus and
+// the classifier training NewFleet runs inside the handler, so a value
+// above maxTrainingFiles is refused with 400 naming the cap, before any
+// of that work.
+func TestCreateBoundsTrainingFiles(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, n := range []int{maxTrainingFiles + 1, 1 << 40} {
+		body := fmt.Sprintf(`{"shards":1,"training_files":%d}`, n)
+		resp, err := http.Post(ts.URL+"/v1/fleet", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), fmt.Sprint(maxTrainingFiles)) {
+			t.Errorf("training_files %d: status %d %s, want 400 naming the cap %d", n, resp.StatusCode, msg, maxTrainingFiles)
+		}
+	}
+}
+
+// TestCreateChecksFleetCapFirst: a create at the fleet cap answers 429
+// before NewFleet runs, so even a config NewFleet would refuse reads
+// 429 rather than 400.
+func TestCreateChecksFleetCapFirst(t *testing.T) {
+	ts := newTestServer(t, Config{MaxFleets: 1})
+	createFleet(t, ts, sos.FleetConfig{Shards: 1})
+	resp, err := http.Post(ts.URL+"/v1/fleet", "application/json", strings.NewReader(`{"shards":1,"training_files":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("create at the cap: status %d, want 429", resp.StatusCode)
+	}
+}
+
 func goldenPath(name string) string {
 	return filepath.Join("..", "..", "testdata", "fleet", name)
 }

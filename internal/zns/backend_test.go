@@ -415,3 +415,36 @@ func TestInvariantsCatchStaleLayout(t *testing.T) {
 		t.Fatalf("restored layout rejected: %v", err)
 	}
 }
+
+// TestInvariantsCatchMappingBeyondWP moves one LPA's mapping to the page
+// at its zone's write pointer, one past the last programmed page, and
+// clears the old P2L slot, so the inverse and live-count checks still
+// pass and only the write-pointer check can object.
+func TestInvariantsCatchMappingBeyondWP(t *testing.T) {
+	b, _ := testBackend(t, 16, 2)
+	for lpa := int64(1); lpa <= 3; lpa++ {
+		if err := b.Write(lpa, bytes.Repeat([]byte{byte(lpa)}, 64), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, _ := b.Lookup(3)
+	zn := &b.dev.zones[m.Unit]
+	if zn.state != ZoneOpen || zn.wp != 3 {
+		t.Fatalf("written zone is %v with wp %d, want open with wp 3", zn.state, zn.wp)
+	}
+	moved := m
+	moved.Index = zn.wp
+	b.SetMapping(3, moved)
+	b.P2L[b.PageIndex(m.Unit, m.Index)] = -1
+	if err := b.CheckMapping(); err != nil {
+		t.Fatalf("moved mapping fails the mapping checks first: %v", err)
+	}
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "beyond wp") {
+		t.Fatalf("mapping at the write pointer: got %v", err)
+	}
+	b.SetMapping(3, m)
+	b.P2L[b.PageIndex(moved.Unit, moved.Index)] = -1
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("restored mapping rejected: %v", err)
+	}
+}
